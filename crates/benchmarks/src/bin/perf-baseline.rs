@@ -37,7 +37,7 @@ use apiphany_benchmarks::{
     BenchOutcome,
 };
 use apiphany_core::json::Value;
-use apiphany_core::{Apiphany, Telemetry};
+use apiphany_core::{Engine, Telemetry};
 use apiphany_ttn::{
     enumerate_search, query_markings, CancelToken, SearchConfig, SearchEvent, SearchStats,
 };
@@ -79,7 +79,7 @@ struct SearchRun {
 }
 
 fn run_search(
-    engine: &Apiphany,
+    engine: &Engine,
     max_len: usize,
     threads: usize,
     telemetry: &Telemetry,
@@ -151,7 +151,7 @@ fn search_run_json(run: &SearchRun, serial: Option<&SearchRun>) -> Value {
 
 /// The "easy suite": the eight Slack rows of Table 2.
 fn easy_suite(
-    engine: &Apiphany,
+    engine: &Engine,
     max_len: usize,
     threads: usize,
     timeout_secs: u64,

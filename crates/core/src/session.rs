@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 use apiphany_lang::anf::AnfProgram;
 use apiphany_lang::Program;
 use apiphany_mining::Query;
-use apiphany_re::{cost_of, cost_of_par, ReContext, Ranker};
+use apiphany_re::{cost_of, ReContext, Ranker};
 use apiphany_synth::{CancelToken, Outcome, SynthEvent};
 
 use crate::fault::{FaultPlane, FaultPoint};
@@ -271,36 +271,10 @@ fn run_worker(
     let ctx = ReContext::new(inner.synthesizer.semlib(), &inner.witnesses);
     let mut ranker: Ranker<RankedProgram> = Ranker::new();
     let mut abandoned = false;
-    // Fan a candidate's RE rounds across the pool only once RE has proven
-    // expensive: the scoped pool spawns threads per call, so for
-    // microsecond-scale rounds (simulated APIs) serial is faster. The
-    // switch is wall-clock-only — costs are identical either way.
-    let mut re_parallel = false;
     let stats = inner.synthesizer.synthesize(query, &cfg.synthesis, cancel, &mut |event| {
         let to_send = match event {
             SynthEvent::Candidate(cand) => {
-                // The 15 RE rounds of one candidate are independent; with
-                // threads > 1 they fan out across the pool. Deterministic:
-                // every cost component except wall-clock `re_time` equals
-                // the serial computation.
-                let ran_parallel = re_parallel && cfg.synthesis.threads > 1;
-                let cost = if ran_parallel {
-                    cost_of_par(&ctx, &cand.program, query, &cfg.cost, cfg.synthesis.threads)
-                } else {
-                    cost_of(&ctx, &cand.program, query, &cfg.cost)
-                };
-                // Hysteresis on the *serial-equivalent* estimate (a
-                // parallel run's wall-clock is scaled back up by the
-                // thread count): engage at 5 ms, disengage below 1 ms.
-                // Deciding on the raw wall-clock would disengage after
-                // every effective parallel run and oscillate.
-                let serial_equiv = if ran_parallel {
-                    cost.re_time * (cfg.synthesis.threads.min(64) as u32)
-                } else {
-                    cost.re_time
-                };
-                re_parallel = serial_equiv >= Duration::from_millis(5)
-                    || (re_parallel && serial_equiv >= Duration::from_millis(1));
+                let cost = cost_of(&ctx, &cand.program, query, &cfg.cost);
                 let rank_now = ranker.rank_if_inserted(&cost, cand.index);
                 let notification = Event::CandidateFound {
                     program: cand.program.clone(),

@@ -373,9 +373,23 @@ impl NetServer {
         }
     }
 
-    /// Shuts every connection down (readers deliver their
-    /// `Disconnected` events as they exit).
+    /// Closes every connection after its already-queued outbound frames
+    /// have reached the socket — [`NetServer::close_after_flush`] for all
+    /// clients at once, so a drain never loses a frame (such as a
+    /// query's terminal event) it enqueued just before closing. Waits
+    /// until every connection is gone, but at most
+    /// [`NetConfig::write_deadline`]: a client whose queue is still not
+    /// drained by then is one the sweeper cuts as stalled anyway. Whatever
+    /// remains at the deadline is shut down at once (readers deliver
+    /// their `Disconnected` events as they exit).
     pub fn close_all(&self) {
+        let deadline = Instant::now() + self.shared.cfg.write_deadline;
+        for client in self.client_ids() {
+            self.close_after_flush(client);
+        }
+        while self.connections() > 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         let clients = self.shared.clients.lock().expect("clients lock");
         for conn in clients.values() {
             conn.stream.shutdown();

@@ -37,4 +37,4 @@ mod exec;
 mod rank;
 
 pub use exec::{ReContext, ReFailure};
-pub use rank::{cost_of, cost_of_par, costs_of, Cost, CostParams, RankedEntry, Ranker};
+pub use rank::{cost_of, Cost, CostParams, RankedEntry, Ranker};

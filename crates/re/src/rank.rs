@@ -63,7 +63,8 @@ impl Cost {
     }
 }
 
-/// Runs RE `params.rounds` times and computes the paper's cost.
+/// Runs RE `params.rounds` times and computes the paper's cost (§6
+/// items 1–4).
 pub fn cost_of(
     ctx: &ReContext<'_>,
     program: &Program,
@@ -79,81 +80,6 @@ pub fn cost_of(
             Err(_) => n_failed += 1,
         }
     }
-    assemble_cost(program, query, params, results, n_failed, start)
-}
-
-/// [`cost_of`] with the independent RE rounds fanned out across
-/// `threads` workers ([`apiphany_ttn::pool`]). Each round runs with its
-/// deterministic per-round seed and the round results are recombined in
-/// round order, so the cost components (`base`, `penalty`, `n_failed`,
-/// `n_empty`) are identical to the serial [`cost_of`] for every thread
-/// count; only `re_time` differs (it reports wall-clock, which is the
-/// point). With `threads <= 1` this is exactly [`cost_of`].
-pub fn cost_of_par(
-    ctx: &ReContext<'_>,
-    program: &Program,
-    query: &Query,
-    params: &CostParams,
-    threads: usize,
-) -> Cost {
-    if threads <= 1 || params.rounds <= 1 {
-        return cost_of(ctx, program, query, params);
-    }
-    let start = Instant::now();
-    let mut results: Vec<Value> = Vec::new();
-    let mut n_failed = 0;
-    apiphany_ttn::pool::for_each_ordered(
-        threads,
-        params.rounds,
-        |round, _worker, _stop| ctx.run(program, query, params.seed.wrapping_add(round as u64)),
-        |_, outcome| {
-            match outcome {
-                Ok(v) => results.push(v),
-                Err(_) => n_failed += 1,
-            }
-            true
-        },
-    );
-    assemble_cost(program, query, params, results, n_failed, start)
-}
-
-/// Computes the costs of many candidates concurrently, preserving input
-/// order: `costs_of(..)[i]` is exactly `cost_of(ctx, programs[i], ..)`
-/// (each candidate's RE runs are independent, so fanning the candidates
-/// across `threads` workers is deterministic by construction). This is
-/// the batch entry point the engine's parallel ranking path uses.
-pub fn costs_of(
-    ctx: &ReContext<'_>,
-    programs: &[&Program],
-    query: &Query,
-    params: &CostParams,
-    threads: usize,
-) -> Vec<Cost> {
-    if threads <= 1 {
-        return programs.iter().map(|p| cost_of(ctx, p, query, params)).collect();
-    }
-    let mut costs = Vec::with_capacity(programs.len());
-    apiphany_ttn::pool::for_each_ordered(
-        threads,
-        programs.len(),
-        |job, _worker, _stop| cost_of(ctx, programs[job], query, params),
-        |_, cost| {
-            costs.push(cost);
-            true
-        },
-    );
-    costs
-}
-
-/// Combines per-round RE outcomes into the paper's cost (§6 items 1–4).
-fn assemble_cost(
-    program: &Program,
-    query: &Query,
-    params: &CostParams,
-    results: Vec<Value>,
-    n_failed: usize,
-    start: Instant,
-) -> Cost {
     let base = program.metrics().ast_nodes as f64;
     let n_empty =
         results.iter().filter(|v| v.as_array().is_some_and(<[Value]>::is_empty)).count();
@@ -394,56 +320,6 @@ mod tests {
         assert_eq!(r.rank_of_index(2), Some(3));
         assert_eq!(r.top(2).len(), 2);
         assert_eq!(r.top(2)[0].item, "b");
-    }
-
-    /// Round-parallel and candidate-parallel ranking are deterministic:
-    /// every cost component except the wall-clock `re_time` matches the
-    /// serial computation exactly, for every thread count.
-    #[test]
-    fn parallel_ranking_matches_serial_costs() {
-        let (sl, w) = setup();
-        let ctx = ReContext::new(&sl, &w);
-        let q = parse_query(&sl, "{ channel_name: Channel.name } → [Profile.email]").unwrap();
-        let fig2 = parse_program(
-            r"\channel_name → {
-                c ← c_list()
-                if c.name = channel_name
-                uid ← c_members(channel=c.id)
-                let u = u_info(user=uid)
-                return u.profile.email
-            }",
-        )
-        .unwrap();
-        let creator = parse_program(
-            r"\channel_name → {
-                c ← c_list()
-                if c.name = channel_name
-                let u = u_info(user=c.creator)
-                return u.profile.email
-            }",
-        )
-        .unwrap();
-        let p = CostParams::default();
-        let programs = [&fig2, &creator];
-        let serial: Vec<Cost> =
-            programs.iter().map(|prog| cost_of(&ctx, prog, &q, &p)).collect();
-        let same = |a: &Cost, b: &Cost| {
-            a.base == b.base
-                && a.penalty == b.penalty
-                && a.n_failed == b.n_failed
-                && a.n_empty == b.n_empty
-        };
-        for threads in [1usize, 2, 4, 8] {
-            let batch = costs_of(&ctx, &programs, &q, &p, threads);
-            assert_eq!(batch.len(), serial.len());
-            for (got, want) in batch.iter().zip(&serial) {
-                assert!(same(got, want), "threads {threads}: {got:?} vs {want:?}");
-            }
-            for (prog, want) in programs.iter().zip(&serial) {
-                let got = cost_of_par(&ctx, prog, &q, &p, threads);
-                assert!(same(&got, want), "threads {threads}: {got:?} vs {want:?}");
-            }
-        }
     }
 
     #[test]

@@ -446,7 +446,11 @@ impl Daemon {
                     }
                 }
             }
-            Request::Query { id, spec } => {
+            Request::Query { id, mut spec } => {
+                // A query's search team never outgrows the daemon's slot
+                // count: the wire field cannot claim unbounded OS threads,
+                // and streams are bit-identical at every thread count.
+                spec.threads = spec.threads.min(self.scheduler.slots());
                 let key = QKey::new(client, id.clone());
                 if self.top_k.contains_key(&key) || self.pending.contains_key(&key) {
                     return vec![error_response(

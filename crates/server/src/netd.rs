@@ -298,7 +298,8 @@ pub fn run_net_daemon(
         }
     }
 
-    // Streams are drained; drop every remaining connection and return.
+    // Streams are drained; deliver every frame still queued (terminal
+    // events included), then close each connection and return.
     server.close_all();
     // A run that tripped injected faults dumps the flight recorder so the
     // post-mortem (which jobs were affected, in what order) is on stderr

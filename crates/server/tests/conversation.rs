@@ -504,3 +504,89 @@ fn finished_events_carry_search_stats() {
         assert!(search.get(key).and_then(Value::as_int).is_some(), "missing {key}");
     }
 }
+
+/// The daemon's slot count bounds the threads a wire query can claim: a
+/// `threads: 2000` query at `--slots 2` runs at most two search workers,
+/// so the process stays under slots plus a fixed overhead, and it streams
+/// exactly what the same query at `threads: 1` streams.
+#[cfg(target_os = "linux")]
+#[test]
+fn wire_threads_are_capped_at_the_slot_count() {
+    use std::io::Write;
+    use std::process::{Command, Stdio};
+    use std::time::Duration;
+
+    const SLOTS: usize = 2;
+    // Main thread, stdin reader, and the two queries' search teams
+    // (the capped one at `SLOTS` workers), with room to spare.
+    const OVERHEAD: usize = 8;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_synthd"))
+        .args(["--stdio", "--slots", &SLOTS.to_string()])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("start synthd");
+    // Sample the daemon's thread count until the process is reaped.
+    let status = format!("/proc/{}/status", child.id());
+    let sampler = std::thread::spawn(move || {
+        let mut peak = 0usize;
+        while let Ok(text) = std::fs::read_to_string(&status) {
+            let threads = text
+                .lines()
+                .find_map(|l| l.strip_prefix("Threads:"))
+                .and_then(|n| n.trim().parse().ok());
+            peak = peak.max(threads.unwrap_or(0));
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        peak
+    });
+    let query = |id: &str, threads: usize| {
+        format!(
+            r#"{{"op":"query","id":"{id}","service":"demo","inputs":{{"channel_name":"Channel.name"}},"output":"[Profile.email]","depth":8,"threads":{threads}}}"#
+        )
+    };
+    let script = format!(
+        "{}\n{}\n{}\n",
+        r#"{"op":"register","service":"demo","builtin":"fig7"}"#,
+        query("wide", 2000),
+        query("one", 1),
+    );
+    child
+        .stdin
+        .take()
+        .expect("piped stdin")
+        .write_all(script.as_bytes())
+        .expect("send the script");
+    let output = child.wait_with_output().expect("synthd exits");
+    assert!(output.status.success(), "synthd failed: {:?}", output.status);
+    let peak = sampler.join().expect("sampler thread");
+    assert!(peak > 0, "the thread count was sampled");
+    assert!(peak <= SLOTS + OVERHEAD, "synthd ran {peak} threads at --slots {SLOTS}");
+
+    let lines: Vec<Value> = String::from_utf8(output.stdout)
+        .expect("responses are UTF-8")
+        .lines()
+        .map(|line| parse(line).unwrap_or_else(|e| panic!("bad line {line:?}: {e}")))
+        .collect();
+    // One query's events, minus its id, wall-clock fields and search
+    // counters (node counts are a per-thread-count cost, not output).
+    const VARYING: [&str; 5] = ["id", "elapsed_ms", "total_ms", "re_ms", "search"];
+    let stream = |id: &str| -> Vec<String> {
+        lines
+            .iter()
+            .filter(|l| str_field(l, "id") == id && !str_field(l, "event").is_empty())
+            .map(|l| {
+                let fields = l.as_object().expect("events are objects");
+                let kept = fields
+                    .iter()
+                    .filter(|(k, _)| !VARYING.contains(&k.as_str()))
+                    .map(|(k, v)| (k.clone(), v.clone()));
+                Value::obj(kept).to_json()
+            })
+            .collect()
+    };
+    let wide = stream("wide");
+    assert!(wide.last().is_some_and(|l| l.contains("\"finished\"")), "{wide:?}");
+    assert_eq!(wide, stream("one"));
+}

@@ -13,14 +13,14 @@
 
 use std::io::{Cursor, Write};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use apiphany_json::{parse, Value};
 use apiphany_net::{
     read_frame, write_frame, ListenAddr, Listener, NetConfig, NetServer, Stream, TermFlag,
-    DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
+    WriteFault, WriteFaultHook, DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
 };
 use apiphany_server::{run_daemon, run_net_daemon, DaemonOptions, NetOptions, NetSummary};
 use proptest::prelude::*;
@@ -90,7 +90,11 @@ struct TestServer {
 }
 
 impl TestServer {
-    fn start(addr: &ListenAddr, opts: NetOptions) -> TestServer {
+    fn start(
+        addr: &ListenAddr,
+        opts: NetOptions,
+        write_fault: Option<WriteFaultHook>,
+    ) -> TestServer {
         let listener = Listener::bind(addr).expect("bind test listener");
         let addr = listener.local_addr();
         // The transport config the synthd binary derives from the same
@@ -100,7 +104,7 @@ impl TestServer {
             max_frame: DEFAULT_MAX_FRAME,
             write_deadline: opts.write_deadline,
             queue_cap: 16_384,
-            ..NetConfig::default()
+            write_fault,
         };
         let server = NetServer::start_with(vec![listener], cfg);
         let term = TermFlag::new();
@@ -110,7 +114,7 @@ impl TestServer {
     }
 
     fn start_unix(opts: NetOptions) -> TestServer {
-        TestServer::start(&fresh_unix_addr(), opts)
+        TestServer::start(&fresh_unix_addr(), opts, None)
     }
 
     /// Raises the drain latch and waits for the serving loop to return.
@@ -238,6 +242,7 @@ fn hello_version_gate_and_lane_status_over_tcp() {
     let server = TestServer::start(
         &ListenAddr::parse("tcp:127.0.0.1:0").unwrap(),
         NetOptions::default(),
+        None,
     );
     let mut client = Client::connect(&server.addr);
     client.expect_hello();
@@ -448,6 +453,47 @@ fn shutdown_op_drains_like_a_signal() {
         .join()
         .expect("server thread exits cleanly")
         .expect("serving loop returns Ok");
+}
+
+/// A drain delivers every frame it queued before it closes. Every
+/// outbound write stalls (the `frame_write=stall` fault), so when the
+/// serving loop ends the queries' `finished` events and the shutdown
+/// reply are still waiting in the client's outbox: closing without
+/// flushing loses them, whatever the thread timing.
+#[test]
+fn drain_flushes_queued_terminal_events_before_closing() {
+    let stall: WriteFaultHook = Arc::new(|| Some(WriteFault::Stall(Duration::from_millis(25))));
+    let server = TestServer::start(&fresh_unix_addr(), NetOptions::default(), Some(stall));
+    let mut client = Client::connect(&server.addr);
+    client.send(REGISTER);
+    let ids = ["a", "b", "c"];
+    for (id, depth) in ids.iter().zip(3..) {
+        client.send(&channels_query(id, depth));
+    }
+    client.send(r#"{"op":"shutdown"}"#);
+    server
+        .handle
+        .join()
+        .expect("server thread exits cleanly")
+        .expect("serving loop returns Ok");
+    // The server closed the connection: the reader ends at EOF.
+    let mut lines = Vec::new();
+    while let Ok(frame) = client.rx.recv_timeout(Duration::from_secs(30)) {
+        lines.push(frame);
+    }
+    let acked: Vec<&str> = lines
+        .iter()
+        .filter(|l| {
+            l.get("ok").and_then(Value::as_bool) == Some(true) && str_field(l, "op") == "query"
+        })
+        .map(|l| str_field(l, "id"))
+        .collect();
+    assert_eq!(acked, ids, "every query is acked: {lines:?}");
+    for id in ids {
+        let terminals = lines.iter().filter(|l| finished(id)(l)).count();
+        assert_eq!(terminals, 1, "acked id '{id}' got {terminals} terminal events: {lines:?}");
+    }
+    assert!(lines.iter().any(|l| str_field(l, "op") == "shutdown"), "{lines:?}");
 }
 
 proptest! {

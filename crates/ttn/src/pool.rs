@@ -1,135 +1,28 @@
-//! Minimal scoped worker pools with deterministic, in-order result
-//! delivery.
+//! Worker threads: an intra-run team and an inter-run pool.
 //!
-//! The parallel synthesis pipeline needs one property above all: *run
-//! independent jobs on K threads, and hand each result to a single
-//! consumer in job order* — the job order is what makes the parallel path
-//! search bit-identical to the serial one and the parallel RE ranking
-//! deterministic. This module provides that property in two shapes, both
-//! on plain [`std::thread::scope`] with no external dependencies:
+//! * [`team_scope`] — the *intra-run* primitive: a persistent team of
+//!   scoped workers that a coordinator feeds jobs *while it is still
+//!   discovering them* (the search pushes frontier branches as expansion
+//!   reaches them, so branch search overlaps expansion instead of
+//!   barrier-syncing), then drains **in push order** — stealing queued
+//!   jobs itself whenever the one it is waiting on is already running
+//!   elsewhere. Push-order delivery is what makes the parallel path search
+//!   bit-identical to the serial one. One team serves many push/drain
+//!   rounds, so a whole iterative-deepening search spawns its threads
+//!   exactly once. The coordinator can stop a round early: a shared stop
+//!   flag is raised, and workers observe it both between jobs and
+//!   (through the reference passed to the producer) *inside* long-running
+//!   jobs, so cancellation is prompt.
+//! * [`SharedPool`] — the *inter-run* primitive: long-lived threads that
+//!   run whole jobs (synthesis sessions, analysis phases) from two FIFO
+//!   lanes.
 //!
-//! * [`for_each_ordered`] — the batch form: the job count is known up
-//!   front, jobs are claimed by an atomic counter (work stealing, so
-//!   skewed job sizes still balance across workers), results travel
-//!   through a channel and are buffered until their turn;
-//! * [`team_scope`] — the streaming form: a persistent team of workers
-//!   that a coordinator feeds jobs *while it is still discovering them*
-//!   (the search pushes frontier branches as expansion reaches them, so
-//!   branch search overlaps expansion instead of barrier-syncing), then
-//!   drains in push order — stealing queued jobs itself whenever the one
-//!   it is waiting on is already running elsewhere. One team serves many
-//!   push/drain rounds, so a whole iterative-deepening search spawns its
-//!   threads exactly once.
-//!
-//! In both shapes the consumer can stop early — a shared stop flag is
-//! raised, workers observe it both between jobs and (through the
-//! reference passed to the producer) *inside* long-running jobs, so
-//! cancellation is prompt.
-//!
-//! ```
-//! use apiphany_ttn::pool::{for_each_ordered, PoolOutcome};
-//!
-//! let mut squares = Vec::new();
-//! let outcome = for_each_ordered(4, 8, |job, _worker, _stop| job * job, |_, sq| {
-//!     squares.push(sq);
-//!     true
-//! });
-//! assert_eq!(outcome, PoolOutcome::Completed);
-//! assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
-//! ```
+//! Both are plain [`std::thread`] code with no external dependencies.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-
-/// How a [`for_each_ordered`] run ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PoolOutcome {
-    /// Every job ran and every result was consumed.
-    Completed,
-    /// The consumer returned `false`; remaining jobs were skipped (results
-    /// already in flight are discarded).
-    Stopped,
-}
-
-/// Runs `n_jobs` jobs on up to `threads` worker threads and feeds the
-/// results to `consume` **in job order** (job `i`'s result is always
-/// consumed before job `i + 1`'s, regardless of completion order).
-///
-/// `produce` runs on the workers and must be callable from several
-/// threads at once; it receives the job index, the worker index
-/// (`0..threads`, stable for the worker's lifetime — callers use it to
-/// keep per-worker scratch state such as the search's dead-set without
-/// locking against each other), and a shared stop flag it should poll
-/// inside long jobs so early termination stays prompt. `consume` runs on
-/// the calling thread only; returning `false` stops the pool — no
-/// further results are consumed, the stop flag is raised, and the call
-/// returns once the workers have drained.
-///
-/// With `threads <= 1` a single worker thread processes the jobs in order
-/// (results are identical by construction; callers that want to avoid
-/// thread spawning entirely should branch to their serial path instead).
-pub fn for_each_ordered<R, P, C>(
-    threads: usize,
-    n_jobs: usize,
-    produce: P,
-    mut consume: C,
-) -> PoolOutcome
-where
-    R: Send,
-    P: Fn(usize, usize, &AtomicBool) -> R + Sync,
-    C: FnMut(usize, R) -> bool,
-{
-    if n_jobs == 0 {
-        return PoolOutcome::Completed;
-    }
-    let stop = AtomicBool::new(false);
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, R)>();
-    let produce = &produce;
-    let stop_ref = &stop;
-    let next_ref = &next;
-    let mut stopped = false;
-    std::thread::scope(|scope| {
-        for worker in 0..threads.clamp(1, n_jobs) {
-            let tx = tx.clone();
-            scope.spawn(move || loop {
-                let job = next_ref.fetch_add(1, Ordering::Relaxed);
-                if job >= n_jobs || stop_ref.load(Ordering::Relaxed) {
-                    break;
-                }
-                let result = produce(job, worker, stop_ref);
-                if tx.send((job, result)).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-        // In-order delivery: buffer out-of-order completions until the
-        // next job in sequence arrives.
-        let mut pending: Vec<Option<R>> = (0..n_jobs).map(|_| None).collect();
-        let mut next_emit = 0usize;
-        for (job, result) in rx {
-            pending[job] = Some(result);
-            while let Some(slot) = pending.get_mut(next_emit) {
-                let Some(result) = slot.take() else { break };
-                if !stopped && !consume(next_emit, result) {
-                    stopped = true;
-                    stop.store(true, Ordering::Relaxed);
-                }
-                next_emit += 1;
-            }
-            // Keep draining after a stop so workers never block and the
-            // scope can join them.
-        }
-    });
-    if stopped {
-        PoolOutcome::Stopped
-    } else {
-        PoolOutcome::Completed
-    }
-}
 
 /// Shared state of a [`team_scope`] run: the seq-tagged job queue, the
 /// reorder buffer, and the delivery cursors.
@@ -245,8 +138,8 @@ impl<J: Send, R: Send> Team<'_, J, R> {
     }
 }
 
-/// Runs `body` with a persistent team of `threads` worker threads (the
-/// streaming counterpart of [`for_each_ordered`]; see the module docs).
+/// Runs `body` with a persistent team of `threads` worker threads (see
+/// the module docs).
 ///
 /// `produce` runs a job to its result; it receives the producer index —
 /// `0` for the coordinator's inline steals, `1..=threads` for the
@@ -336,8 +229,8 @@ pub enum Lane {
 /// A persistent, shareable worker pool: `slots` long-lived threads serving
 /// two FIFO job lanes with per-lane fairness.
 ///
-/// Where [`for_each_ordered`] is the *intra-run* primitive (split one
-/// search level across scoped threads, borrow freely), `SharedPool` is the
+/// Where [`team_scope`] is the *intra-run* primitive (split one search
+/// level across scoped threads, borrow freely), `SharedPool` is the
 /// *inter-run* primitive the serving layer multiplexes whole synthesis
 /// sessions over: each submitted job is an owned `'static` closure (a
 /// session worker body), at most `slots` of them run at once, and queued
@@ -586,84 +479,7 @@ impl Drop for SharedPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn results_arrive_in_job_order() {
-        for threads in [1, 2, 4, 8] {
-            let mut seen = Vec::new();
-            let outcome = for_each_ordered(
-                threads,
-                32,
-                // Make later jobs finish first to exercise the reorder
-                // buffer.
-                |job, _, _| {
-                    std::thread::sleep(std::time::Duration::from_micros(
-                        (32 - job as u64) * 50,
-                    ));
-                    job * 10
-                },
-                |job, r| {
-                    seen.push((job, r));
-                    true
-                },
-            );
-            assert_eq!(outcome, PoolOutcome::Completed);
-            let expect: Vec<(usize, usize)> = (0..32).map(|j| (j, j * 10)).collect();
-            assert_eq!(seen, expect, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn consumer_stop_halts_the_pool() {
-        use std::sync::atomic::AtomicUsize;
-        let produced = AtomicUsize::new(0);
-        let mut consumed = 0usize;
-        let outcome = for_each_ordered(
-            4,
-            1000,
-            |job, _, _| {
-                produced.fetch_add(1, Ordering::Relaxed);
-                // Slow enough that the consumer's stop lands while jobs
-                // remain unclaimed (instant jobs could all finish first).
-                std::thread::sleep(std::time::Duration::from_millis(1));
-                job
-            },
-            |_, _| {
-                consumed += 1;
-                consumed < 3
-            },
-        );
-        assert_eq!(outcome, PoolOutcome::Stopped);
-        assert_eq!(consumed, 3);
-        // Workers observed the stop flag: nowhere near all jobs ran.
-        assert!(produced.load(Ordering::Relaxed) < 1000);
-    }
-
-    #[test]
-    fn producers_observe_the_stop_flag_mid_job() {
-        // One long job polls the flag; the consumer stops after job 0, and
-        // the long job must terminate promptly rather than run forever.
-        let outcome = for_each_ordered(
-            2,
-            2,
-            |job, _, stop| {
-                if job == 1 {
-                    while !stop.load(Ordering::Relaxed) {
-                        std::thread::yield_now();
-                    }
-                }
-                job
-            },
-            |_, _| false,
-        );
-        assert_eq!(outcome, PoolOutcome::Stopped);
-    }
-
-    #[test]
-    fn zero_jobs_complete_immediately() {
-        let outcome = for_each_ordered(4, 0, |job, _, _| job, |_, _| true);
-        assert_eq!(outcome, PoolOutcome::Completed);
-    }
+    use std::sync::mpsc;
 
     #[test]
     fn team_delivers_streamed_jobs_in_push_order() {

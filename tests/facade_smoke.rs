@@ -47,10 +47,10 @@ fn every_reexported_crate_is_reachable() {
     // benchmarks: the Table 2 suite definitions.
     assert_eq!(benchmarks::benchmarks().len(), 32);
 
-    // core: the top-level engine wired from all of the above. `Apiphany`
-    // is the compatibility alias for `Engine`; the builder, the session
-    // stream, and the analysis artifact are the primary surface.
-    let engine: core::Engine = core::Apiphany::from_witnesses(
+    // core: the top-level engine wired from all of the above; the
+    // builder, the session stream, and the analysis artifact are the
+    // primary surface.
+    let engine = core::Engine::from_witnesses(
         spec::fixtures::fig7_library(),
         spec::fixtures::fig4_witnesses(),
     );

@@ -1,15 +1,15 @@
 //! End-to-end integration tests on the paper's running example (Fig. 2-11):
 //! analysis → TTN → synthesis → lifting → type checking → RE ranking.
 
-use apiphany_repro::core::{Apiphany, RunConfig};
+use apiphany_repro::core::{Engine, RunConfig};
 use apiphany_repro::lang::anf::alpha_eq;
 use apiphany_repro::lang::parse_program;
 use apiphany_repro::mining::{Granularity, MiningConfig};
 use apiphany_repro::spec::fixtures::{fig4_witnesses, fig7_library};
 use apiphany_repro::ttn::BuildOptions;
 
-fn engine() -> Apiphany {
-    Apiphany::from_witnesses(fig7_library(), fig4_witnesses())
+fn engine() -> Engine {
+    Engine::from_witnesses(fig7_library(), fig4_witnesses())
 }
 
 fn cfg() -> RunConfig {
@@ -53,7 +53,7 @@ fn ablations_lose_the_running_example() {
     .unwrap();
     for granularity in [Granularity::LocationOnly, Granularity::Syntactic] {
         let mining = MiningConfig { granularity, ..MiningConfig::default() };
-        let engine = Apiphany::from_witnesses_with(
+        let engine = Engine::from_witnesses_with(
             fig7_library(),
             fig4_witnesses(),
             &mining,

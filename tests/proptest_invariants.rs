@@ -1,6 +1,6 @@
 //! Cross-crate property tests on the synthesis pipeline's invariants.
 
-use apiphany_repro::core::{Apiphany, Budget, Event, RunConfig};
+use apiphany_repro::core::{Budget, Engine, Event, RunConfig};
 use apiphany_repro::lang::anf::{alpha_eq, canonicalize};
 use apiphany_repro::lang::parse_program;
 use apiphany_repro::re::{cost_of, CostParams, ReContext};
@@ -14,7 +14,7 @@ proptest! {
     /// running example.
     #[test]
     fn re_cost_is_seed_deterministic(seed in 0u64..1000) {
-        let engine = Apiphany::from_witnesses(fig7_library(), fig4_witnesses());
+        let engine = Engine::from_witnesses(fig7_library(), fig4_witnesses());
         let query = engine.query("{ channel_name: Channel.name } → [Profile.email]").unwrap();
         let mut cfg = RunConfig::default();
         cfg.synthesis.budget = Budget::depth(7);
@@ -34,7 +34,7 @@ proptest! {
     /// and candidate cap.
     #[test]
     fn event_stream_ranks_match_drained_result(seed in 0u64..500, cap in 1usize..6) {
-        let engine = Apiphany::from_witnesses(fig7_library(), fig4_witnesses());
+        let engine = Engine::from_witnesses(fig7_library(), fig4_witnesses());
         let query = engine.query("{ channel_name: Channel.name } → [Profile.email]").unwrap();
         let mut cfg = RunConfig::default();
         cfg.synthesis.budget = Budget { max_candidates: Some(cap), ..Budget::depth(7) };
