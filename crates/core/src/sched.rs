@@ -23,13 +23,12 @@
 //! `tests/serving.rs` property-tests this guarantee, including under
 //! concurrent interleaving.
 //!
-//! [`Multiplexer`] is the consumer-side companion: a fair round-robin
-//! poller over any number of live sessions, built on
-//! [`Session::try_next`] so one stalled session never blocks the others'
-//! events.
+//! A consumer of many scheduled sessions polls them round-robin with
+//! [`Session::try_next`], so one stalled (or still queued) session never
+//! blocks the others' events:
 //!
 //! ```
-//! use apiphany_core::{Engine, Multiplexer, QuerySpec, Scheduler};
+//! use apiphany_core::{Engine, Event, QuerySpec, Scheduler};
 //! use apiphany_spec::fixtures::{fig4_witnesses, fig7_library};
 //!
 //! let engine = Engine::from_witnesses(fig7_library(), fig4_witnesses());
@@ -37,29 +36,27 @@
 //! let spec = QuerySpec::output("[Profile.email]")
 //!     .input("channel_name", "Channel.name")
 //!     .depth(7);
-//! let mut mux = Multiplexer::new();
-//! for id in ["a", "b", "c"] {
-//!     mux.push(id, scheduler.submit(&engine, &spec).unwrap());
-//! }
+//! let mut sessions: Vec<_> = (0..3).map(|_| scheduler.submit(&engine, &spec).unwrap()).collect();
 //! let mut finished = 0;
-//! while let Some((_id, event)) = mux.next_event() {
-//!     if matches!(event, apiphany_core::Event::Finished(_)) {
-//!         finished += 1;
+//! while !sessions.is_empty() {
+//!     for session in &mut sessions {
+//!         if let Some(Event::Finished(_)) = session.try_next() {
+//!             finished += 1;
+//!         }
 //!     }
+//!     sessions.retain(|session| !session.is_finished());
+//!     std::thread::yield_now();
 //! }
 //! assert_eq!(finished, 3);
 //! ```
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use apiphany_ttn::pool::SharedPool;
 
 use crate::fault::FaultPlane;
 use crate::job::{Job, JobKind, JobOutcome, JobRuntime};
-use crate::{
-    Engine, EngineError, Event, QuerySpec, RunConfig, ServiceCatalog, ServiceLookup, Session,
-};
+use crate::{Engine, EngineError, QuerySpec, ServiceCatalog, ServiceLookup, Session};
 
 /// How [`Scheduler::submit_catalog_async`] dispatched a query.
 #[derive(Debug)]
@@ -232,143 +229,12 @@ impl Scheduler {
             }
         }
     }
-
-    /// Submits a pre-parsed query and config (the lower-level entry the
-    /// typed path shares).
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::Budget`] when the budget is invalid.
-    pub fn submit_query(
-        &self,
-        engine: &Engine,
-        query: &apiphany_mining::Query,
-        cfg: &RunConfig,
-    ) -> Result<Session, EngineError> {
-        cfg.synthesis.budget.validate()?;
-        let mut cfg = cfg.clone();
-        if !cfg.synthesis.telemetry.is_enabled() {
-            cfg.synthesis.telemetry = self.runtime.telemetry().clone();
-        }
-        let job = self.runtime.new_job(JobKind::Search, String::new());
-        Ok(Session::spawn_job(
-            &self.runtime,
-            job,
-            Arc::clone(&engine.inner),
-            query.clone(),
-            cfg,
-            self.fault.clone(),
-        ))
-    }
-}
-
-/// A fair round-robin event poller over tagged sessions.
-///
-/// Push any number of live sessions with caller-chosen tags; each
-/// [`Multiplexer::poll`] visits the sessions in rotation starting after
-/// the last one that yielded, so a chatty session cannot starve the
-/// others. Sessions are dropped as soon as their `Finished` event is
-/// delivered.
-#[derive(Debug, Default)]
-pub struct Multiplexer<T> {
-    sessions: Vec<(T, Session)>,
-    /// Index to start the next poll sweep at (rotates for fairness).
-    cursor: usize,
-}
-
-impl<T> Multiplexer<T> {
-    /// An empty multiplexer.
-    pub fn new() -> Multiplexer<T> {
-        Multiplexer { sessions: Vec::new(), cursor: 0 }
-    }
-
-    /// Adds a session under `tag` (tags need not be unique; events are
-    /// reported with a reference to the tag).
-    pub fn push(&mut self, tag: T, session: Session) {
-        self.sessions.push((tag, session));
-    }
-
-    /// Live (unfinished) sessions.
-    pub fn len(&self) -> usize {
-        self.sessions.len()
-    }
-
-    /// Whether every pushed session has finished.
-    pub fn is_empty(&self) -> bool {
-        self.sessions.is_empty()
-    }
-
-    /// Calls `f` on each live session (e.g. to cancel by tag, or to
-    /// collect the live tag set).
-    pub fn for_each_session(&self, mut f: impl FnMut(&T, &Session)) {
-        for (tag, session) in &self.sessions {
-            f(tag, session);
-        }
-    }
-
-    /// One non-blocking round-robin sweep: returns the first event any
-    /// live session has ready (tagged with a clone of its tag), or `None`
-    /// when nobody has one *right now* (distinguish from completion with
-    /// [`Multiplexer::is_empty`]). The sweep starts after the session
-    /// that yielded last, so ready sessions take turns.
-    pub fn poll(&mut self) -> Option<(T, Event)>
-    where
-        T: Clone,
-    {
-        let n = self.sessions.len();
-        let mut found = None;
-        for step in 0..n {
-            let i = (self.cursor + step) % n;
-            if let Some(event) = self.sessions[i].1.try_next() {
-                self.cursor = (i + 1) % n;
-                found = Some((i, event));
-                break;
-            }
-        }
-        let out = match found {
-            Some((i, event)) => {
-                let tag = if matches!(event, Event::Finished(_)) {
-                    // The stream is complete: drop the session (reaping
-                    // its worker) and hand the tag back by value.
-                    self.sessions.remove(i).0
-                } else {
-                    self.sessions[i].0.clone()
-                };
-                Some((tag, event))
-            }
-            None => {
-                // A `try_next` that returned `None` after marking the
-                // session finished means its worker died without a
-                // `Finished` event (a panic); prune it so the poll loop
-                // terminates instead of spinning on a dead stream.
-                self.sessions.retain(|(_, s)| !s.is_finished());
-                None
-            }
-        };
-        self.cursor = if self.sessions.is_empty() { 0 } else { self.cursor % self.sessions.len() };
-        out
-    }
-
-    /// Blocking pull: polls until some session yields an event, parking
-    /// briefly between sweeps. Returns `None` once every session has
-    /// finished.
-    pub fn next_event(&mut self) -> Option<(T, Event)>
-    where
-        T: Clone,
-    {
-        while !self.is_empty() {
-            if let Some(out) = self.poll() {
-                return Some(out);
-            }
-            std::thread::sleep(Duration::from_micros(200));
-        }
-        None
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Event;
     use apiphany_spec::fixtures::{fig4_witnesses, fig7_library};
 
     fn engine() -> Engine {
@@ -420,13 +286,17 @@ mod tests {
         let spec = email_spec();
         let reference = fingerprint(&engine.open(&spec).unwrap().collect::<Vec<_>>());
         let scheduler = Scheduler::new(2);
-        let mut mux = Multiplexer::new();
-        for id in 0..6 {
-            mux.push(id, scheduler.submit(&engine, &spec).unwrap());
-        }
+        let mut sessions: Vec<(usize, Session)> =
+            (0..6).map(|id| (id, scheduler.submit(&engine, &spec).unwrap())).collect();
         let mut streams: Vec<Vec<Event>> = (0..6).map(|_| Vec::new()).collect();
-        while let Some((id, event)) = mux.next_event() {
-            streams[id].push(event);
+        while !sessions.is_empty() {
+            for (id, session) in &mut sessions {
+                if let Some(event) = session.try_next() {
+                    streams[*id].push(event);
+                }
+            }
+            sessions.retain(|(_, session)| !session.is_finished());
+            std::thread::yield_now();
         }
         for (id, stream) in streams.iter().enumerate() {
             assert_eq!(fingerprint(stream), reference, "session {id}");

@@ -162,8 +162,9 @@ impl Session {
     /// searching — or still waiting for a pool slot. Returns `None`
     /// forever once [`Event::Finished`] has been delivered.
     ///
-    /// This is the primitive [`crate::Multiplexer`] round-robins over: a
-    /// blocked `recv` on one session must never starve the others.
+    /// This is the primitive a consumer of many sessions round-robins
+    /// over (the `synthd` daemon does): a blocked `recv` on one session
+    /// must never starve the others.
     pub fn try_next(&mut self) -> Option<Event> {
         if self.finished {
             return None;

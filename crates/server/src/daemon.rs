@@ -12,24 +12,26 @@
 //! their transitions as `analysis_started` / `analysis_ready` /
 //! `analysis_failed` events.
 //!
-//! Every piece of per-query state is keyed by [`QKey`] — a client id
-//! plus the client's own query id — so many connections can serve
-//! overlapping id namespaces from one daemon, and a dropped connection
-//! cancels exactly its own work ([`Daemon::drop_client`], backed by the
-//! core's [`CancelScopes`]). The stdio front end is the one-client
-//! special case (client 0); the socket front end in [`crate::netd`]
-//! drives the same core for many.
+//! All per-query state lives in one table, a [`BTreeMap`] keyed by
+//! [`QKey`] — a client id plus the client's own query id — so many
+//! connections can serve overlapping id namespaces from one daemon. Every
+//! per-query operation is a lookup or a per-client range scan of that
+//! table: a dropped connection cancels exactly its own work
+//! ([`Daemon::drop_client`]), and the session pump sweeps the table
+//! round-robin from the key it served last. The stdio front end is the
+//! one-client special case (client 0); the socket front end in
+//! [`crate::netd`] drives the same core for many.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io::{BufRead, Write};
+use std::ops::Bound;
 use std::path::PathBuf;
 use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
 use std::time::Duration;
 
 use apiphany_core::{
-    CancelScopes, CatalogSubmission, Engine, EngineError, Event, FaultPlane, Job, JobRuntime,
-    JobState, Multiplexer, RetryPolicy, Scheduler, ScopeTicket, ServiceCatalog, ServiceLookup,
-    Session, Telemetry,
+    Budget, CatalogSubmission, Engine, EngineError, Event, FaultPlane, Job, JobRuntime, JobState,
+    QuerySpec, RetryPolicy, Scheduler, ServiceCatalog, ServiceLookup, Session, Telemetry,
 };
 use apiphany_json::Value;
 
@@ -86,17 +88,32 @@ pub struct DaemonSummary {
 
 /// The identity of one in-flight query: which connection asked, and the
 /// id that connection chose. Clients own independent id namespaces — two
-/// connections can both run a query called `q1`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) struct QKey {
-    pub(crate) client: u64,
-    pub(crate) id: String,
+/// connections can both run a query called `q1`. Ordered by client
+/// first, so one client's queries form a contiguous range of the table.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+struct QKey {
+    client: u64,
+    id: String,
 }
 
 impl QKey {
-    pub(crate) fn new(client: u64, id: impl Into<String>) -> QKey {
+    fn new(client: u64, id: impl Into<String>) -> QKey {
         QKey { client, id: id.into() }
     }
+}
+
+/// One in-flight query: its reporting cap and where it stands.
+struct QueryEntry {
+    top_k: Option<usize>,
+    state: QueryState,
+}
+
+enum QueryState {
+    /// Queued behind its service's analysis job; the job's continuation
+    /// delivers the session.
+    Waiting,
+    /// Streaming from a live session.
+    Live(Session),
 }
 
 /// Where protocol lines go: the stdio loop writes every client-0 line to
@@ -154,33 +171,38 @@ pub(crate) struct Occupancy {
     pub(crate) waiting: usize,
 }
 
+impl Occupancy {
+    fn count(&mut self, entry: &QueryEntry) {
+        match entry.state {
+            QueryState::Live(_) => self.live += 1,
+            QueryState::Waiting => self.waiting += 1,
+        }
+    }
+}
+
 /// The daemon core: the catalog and the scheduler share one
 /// [`JobRuntime`](apiphany_core::JobRuntime), so analysis and search
-/// schedule through the same two-lane pool; every per-query map is keyed
-/// by [`QKey`].
+/// schedule through the same two-lane pool; every in-flight query is one
+/// entry of the `queries` table.
 pub(crate) struct Daemon {
+    // Fields drop in declaration order. The sessions in `queries` and
+    // `done_rx` (a late delivery for a cancelled query can sit there when
+    // the loop exits) must drop before the runtime handles in `catalog`
+    // and `scheduler`: the last handle joins the pool's workers, and a
+    // search worker stays blocked on its session's rendezvous send until
+    // that session drops.
+    /// Every acked query that has not had its terminal event yet.
+    queries: BTreeMap<QKey, QueryEntry>,
+    /// Hands sessions from analysis-job continuations to the loop.
+    done_rx: Receiver<Delivery>,
+    done_tx: Sender<Delivery>,
+    /// The key the session pump served last; the next sweep starts after
+    /// it, so ready sessions take turns.
+    cursor: Option<QKey>,
     catalog: ServiceCatalog,
     scheduler: Scheduler,
-    mux: Multiplexer<QKey>,
-    /// Reporting caps of *live* (session-backed) queries; together with
-    /// `pending` this is the in-use key set.
-    top_k: HashMap<QKey, Option<usize>>,
-    /// Queries queued behind their service's analysis job (value = the
-    /// spec's reporting cap, installed once the session arrives).
-    pending: HashMap<QKey, Option<usize>>,
-    /// Live queries' search-job handles, kept so a worker that dies
-    /// without a `Finished` event can be closed out with the job's
-    /// structured failure reason instead of a generic message.
-    jobs: HashMap<QKey, Job<()>>,
     /// Analysis jobs being reported to clients.
     watchers: Vec<Watch>,
-    /// Client-scoped cancellation: every live session's token, filed
-    /// under its client id, so a dropped connection cancels exactly that
-    /// client's work.
-    scopes: CancelScopes,
-    tickets: HashMap<QKey, ScopeTicket>,
-    /// Hands sessions from analysis-job continuations to the loop.
-    done_tx: Sender<(QKey, Result<Session, EngineError>)>,
     /// The observability plane (shared with the runtime, catalog, and
     /// fault plane); the `metrics`/`dump-recorder` ops read it.
     telemetry: Telemetry,
@@ -190,14 +212,24 @@ pub(crate) struct Daemon {
 }
 
 /// What an analysis-job continuation delivers back to the loop.
-pub(crate) type Delivery = (QKey, Result<Session, EngineError>);
+type Delivery = (QKey, Result<Session, EngineError>);
+
+/// Server policy on what a wire query may claim: its search team never
+/// outgrows the daemon's slot count, and its wall clock never exceeds the
+/// default budget's (an absent limit, `null` on the wire, gets that
+/// default). Streams are bit-identical at every thread count.
+fn admit(spec: &mut QuerySpec, slots: usize) {
+    spec.threads = spec.threads.min(slots);
+    let cap = Budget::default().wall_clock.expect("the default budget has a wall clock");
+    spec.budget.wall_clock = Some(spec.budget.wall_clock.map_or(cap, |limit| limit.min(cap)));
+}
 
 /// Runs the daemon over a request stream and a response sink until the
 /// input is exhausted (or a `shutdown` request arrives) *and* every open
 /// session has drained and every watched analysis job has settled. Each
 /// input line is handled in order; session events interleave between
-/// request handling, tagged with their query id, with the
-/// [`Multiplexer`]'s round-robin fairness across concurrent queries.
+/// request handling, tagged with their query id, round-robin across
+/// concurrent queries.
 ///
 /// The query ack is written when the request is accepted — for a cold
 /// service it carries the name of the analysis the query is queued
@@ -227,7 +259,7 @@ where
     W: Write,
 {
     const CLIENT: u64 = 0;
-    let (mut daemon, done_rx) = Daemon::new(opts);
+    let mut daemon = Daemon::new(opts);
     let mut sink = LineSink(output);
 
     // The reader thread turns the blocking input into a pollable channel,
@@ -291,15 +323,7 @@ where
                 Err(TryRecvError::Empty) => {}
             }
         }
-        // Sessions delivered by analysis-job continuations.
-        if let Ok((key, submitted)) = done_rx.try_recv() {
-            progressed = true;
-            daemon.install_submission(&mut sink, key, submitted)?;
-        }
-        // Analysis job transitions → analysis_* events.
-        progressed |= daemon.pump_watchers(&mut sink)?;
-        // Session events, round-robin across live queries.
-        progressed |= daemon.pump_sessions(&mut sink)?;
+        progressed |= daemon.pump(&mut sink)?;
         if closing && daemon.is_idle() {
             break;
         }
@@ -320,9 +344,8 @@ where
 }
 
 impl Daemon {
-    /// A fresh daemon core plus the receiving end of its analysis-job
-    /// continuation channel (the serving loop polls it).
-    pub(crate) fn new(opts: &DaemonOptions) -> (Daemon, Receiver<Delivery>) {
+    /// A fresh daemon core.
+    pub(crate) fn new(opts: &DaemonOptions) -> Daemon {
         let runtime = JobRuntime::new(opts.slots).with_telemetry(opts.telemetry.clone());
         opts.fault.set_telemetry(opts.telemetry.clone());
         let scheduler = Scheduler::with_runtime(runtime).with_fault(opts.fault.clone());
@@ -337,29 +360,31 @@ impl Daemon {
             catalog
         };
         let (done_tx, done_rx) = mpsc::channel::<Delivery>();
-        let daemon = Daemon {
+        Daemon {
+            queries: BTreeMap::new(),
+            done_rx,
+            done_tx,
+            cursor: None,
             catalog,
             scheduler,
-            mux: Multiplexer::new(),
-            top_k: HashMap::new(),
-            pending: HashMap::new(),
-            jobs: HashMap::new(),
             watchers: Vec::new(),
-            scopes: CancelScopes::new(),
-            tickets: HashMap::new(),
-            done_tx,
             telemetry: opts.telemetry.clone(),
             search_totals: HashMap::new(),
             summary: DaemonSummary { requests: 0, events: 0 },
-        };
-        (daemon, done_rx)
+        }
     }
 
-    /// Whether every stream has drained: no live sessions, no queries
-    /// waiting on analysis, no watched analysis jobs. The exit condition
-    /// of every serving loop.
+    /// Whether every stream has drained: no in-flight queries and no
+    /// watched analysis jobs. The exit condition of every serving loop.
     pub(crate) fn is_idle(&self) -> bool {
-        self.mux.is_empty() && self.pending.is_empty() && self.watchers.is_empty()
+        self.queries.is_empty() && self.watchers.is_empty()
+    }
+
+    /// One client's in-flight queries, in id order.
+    fn client_queries(&self, client: u64) -> impl Iterator<Item = (&QKey, &QueryEntry)> {
+        self.queries
+            .range(QKey::new(client, "")..)
+            .take_while(move |(key, _)| key.client == client)
     }
 
     /// The global queued-search backlog (the socket loop's high-water
@@ -376,10 +401,11 @@ impl Daemon {
 
     /// How much of the daemon one client is using.
     pub(crate) fn occupancy(&self, client: u64) -> Occupancy {
-        Occupancy {
-            live: self.top_k.keys().filter(|k| k.client == client).count(),
-            waiting: self.pending.keys().filter(|k| k.client == client).count(),
+        let mut occupancy = Occupancy::default();
+        for (_, entry) in self.client_queries(client) {
+            occupancy.count(entry);
         }
+        occupancy
     }
 
     /// Handles one well-formed, non-shutdown request from `client`,
@@ -447,12 +473,9 @@ impl Daemon {
                 }
             }
             Request::Query { id, mut spec } => {
-                // A query's search team never outgrows the daemon's slot
-                // count: the wire field cannot claim unbounded OS threads,
-                // and streams are bit-identical at every thread count.
-                spec.threads = spec.threads.min(self.scheduler.slots());
+                admit(&mut spec, self.scheduler.slots());
                 let key = QKey::new(client, id.clone());
-                if self.top_k.contains_key(&key) || self.pending.contains_key(&key) {
+                if self.queries.contains_key(&key) {
                     return vec![error_response(
                         Some(op),
                         Some(&id),
@@ -468,15 +491,13 @@ impl Daemon {
                         let _ = done_tx.send((deliver_key, result));
                     },
                 );
-                match submission {
-                    Err(e) => vec![error_response(Some(op), Some(&id), &e.to_string())],
-                    Ok(CatalogSubmission::Started(session)) => {
-                        let ack = ok_response(op, [("id", Value::from(id.as_str()))]);
-                        self.install_session(key, spec.top_k, session);
-                        vec![ack]
-                    }
+                let (state, ack) = match submission {
+                    Err(e) => return vec![error_response(Some(op), Some(&id), &e.to_string())],
+                    Ok(CatalogSubmission::Started(session)) => (
+                        QueryState::Live(session),
+                        ok_response(op, [("id", Value::from(id.as_str()))]),
+                    ),
                     Ok(CatalogSubmission::Pending(job)) => {
-                        self.pending.insert(key, spec.top_k);
                         let service = job.label().to_string();
                         let ack = ok_response(
                             op,
@@ -486,38 +507,33 @@ impl Daemon {
                             ],
                         );
                         self.watch(client, &service, job);
-                        vec![ack]
+                        (QueryState::Waiting, ack)
                     }
-                }
+                };
+                self.queries.insert(key, QueryEntry { top_k: spec.top_k, state });
+                vec![ack]
             }
             Request::Cancel { id } => {
                 let key = QKey::new(client, id.clone());
-                let mut found = false;
-                self.mux.for_each_session(|tag, session| {
-                    if *tag == key {
-                        session.cancel();
-                        found = true;
-                    }
-                });
-                let mut lines = Vec::new();
-                if self.pending.remove(&key).is_some() {
+                let found = self.queries.contains_key(&key);
+                let mut lines = vec![ok_response(
+                    op,
+                    [("id", Value::from(id.as_str())), ("active", Value::Bool(found))],
+                )];
+                match self.queries.get(&key).map(|entry| &entry.state) {
+                    // A cancelled running session still streams its
+                    // Finished event.
+                    Some(QueryState::Live(session)) => session.cancel(),
                     // Still queued behind an analysis: terminate promptly
                     // with an empty cancelled finish; the continuation's
                     // late delivery is discarded on arrival.
-                    found = true;
-                    self.summary.events += 1;
-                    lines.push(cancelled_finished_value(&id));
+                    Some(QueryState::Waiting) => {
+                        self.queries.remove(&key);
+                        self.summary.events += 1;
+                        lines.push(cancelled_finished_value(&id));
+                    }
+                    None => {}
                 }
-                // A cancelled running session still streams its Finished
-                // event; the response only reports whether the id was
-                // live.
-                lines.insert(
-                    0,
-                    ok_response(
-                        op,
-                        [("id", Value::from(id.as_str())), ("active", Value::Bool(found))],
-                    ),
-                );
                 lines
             }
             Request::List => {
@@ -640,47 +656,28 @@ impl Daemon {
         ]);
         let services: Vec<Value> =
             self.catalog.list().iter().map(service_info_value).collect();
-        let mut queries: Vec<(String, Value)> = Vec::new();
-        self.mux.for_each_session(|tag, session| {
-            if tag.client != client {
-                return;
-            }
-            let state = session
-                .job_state()
-                .map_or("running", |s| match s {
-                    JobState::Queued => "queued",
-                    JobState::Running => "running",
-                    // Terminal but not yet drained by the client.
-                    _ => "draining",
-                });
-            queries.push((
-                tag.id.clone(),
-                Value::obj([
-                    ("id", Value::from(tag.id.as_str())),
-                    ("state", Value::from(state)),
-                ]),
-            ));
-        });
-        for key in self.pending.keys().filter(|k| k.client == client) {
-            queries.push((
-                key.id.clone(),
-                Value::obj([
-                    ("id", Value::from(key.id.as_str())),
-                    ("state", Value::from("waiting_analysis")),
-                ]),
-            ));
+        let queries: Vec<Value> = self
+            .client_queries(client)
+            .map(|(key, entry)| {
+                let state = match &entry.state {
+                    QueryState::Waiting => "waiting_analysis",
+                    QueryState::Live(session) => {
+                        session.job_state().map_or("running", |s| match s {
+                            JobState::Queued => "queued",
+                            JobState::Running => "running",
+                            // Terminal but not yet drained by the client.
+                            _ => "draining",
+                        })
+                    }
+                };
+                Value::obj([("id", Value::from(key.id.as_str())), ("state", Value::from(state))])
+            })
+            .collect();
+        let mut by_client: BTreeMap<u64, Occupancy> = BTreeMap::new();
+        for (key, entry) in &self.queries {
+            by_client.entry(key.client).or_default().count(entry);
         }
-        queries.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut by_client: HashMap<u64, Occupancy> = HashMap::new();
-        for key in self.top_k.keys() {
-            by_client.entry(key.client).or_default().live += 1;
-        }
-        for key in self.pending.keys() {
-            by_client.entry(key.client).or_default().waiting += 1;
-        }
-        let mut clients: Vec<(u64, Occupancy)> = by_client.into_iter().collect();
-        clients.sort_unstable_by_key(|(id, _)| *id);
-        let clients: Vec<Value> = clients
+        let clients: Vec<Value> = by_client
             .into_iter()
             .map(|(id, occ)| {
                 Value::obj([
@@ -696,10 +693,7 @@ impl Daemon {
                 ("runtime", runtime),
                 ("lanes", lanes),
                 ("services", Value::Array(services)),
-                (
-                    "queries",
-                    Value::Array(queries.into_iter().map(|(_, v)| v).collect()),
-                ),
+                ("queries", Value::Array(queries)),
                 ("clients", Value::Array(clients)),
             ],
         )
@@ -722,49 +716,50 @@ impl Daemon {
         });
     }
 
-    /// Installs a live session under `key`: registers its cancel token in
-    /// the client's cancellation scope and starts pumping its events.
-    fn install_session(&mut self, key: QKey, cap: Option<usize>, session: Session) {
-        let ticket = self.scopes.register(key.client, session.cancel_token());
-        self.tickets.insert(key.clone(), ticket);
-        self.top_k.insert(key.clone(), cap);
-        if let Some(job) = session.job() {
-            self.jobs.insert(key.clone(), job.clone());
+    /// One serving step after request handling: installs a session an
+    /// analysis-job continuation delivered, reports analysis transitions,
+    /// and streams one session event. Both front ends call it once per
+    /// loop iteration. Returns whether anything happened.
+    pub(crate) fn pump(&mut self, sink: &mut impl Sink) -> std::io::Result<bool> {
+        let mut progressed = false;
+        if let Ok((key, submitted)) = self.done_rx.try_recv() {
+            progressed = true;
+            self.install_submission(sink, key, submitted)?;
         }
-        self.mux.push(key, session);
-    }
-
-    /// Forgets a settled query's client-scope registration.
-    fn release_ticket(&mut self, key: &QKey) {
-        if let Some(ticket) = self.tickets.remove(key) {
-            self.scopes.release(ticket);
-        }
+        progressed |= self.pump_watchers(sink)?;
+        progressed |= self.pump_sessions(sink)?;
+        Ok(progressed)
     }
 
     /// A session (or submission error) delivered by an analysis-job
     /// continuation: install it, or report the terminal error. Deliveries
-    /// for keys cancelled in the meantime are discarded.
-    pub(crate) fn install_submission(
+    /// for keys no longer waiting (cancelled in the meantime) are
+    /// discarded.
+    fn install_submission(
         &mut self,
         sink: &mut impl Sink,
         key: QKey,
         submitted: Result<Session, EngineError>,
     ) -> std::io::Result<()> {
-        let Some(cap) = self.pending.remove(&key) else {
+        let entry = match self.queries.get_mut(&key) {
+            Some(entry) if matches!(entry.state, QueryState::Waiting) => entry,
             // Cancelled (or shut down / disconnected) while waiting: the
             // terminal event was already handled; reap the session.
-            if let Ok(session) = submitted {
-                session.cancel();
+            _ => {
+                if let Ok(session) = submitted {
+                    session.cancel();
+                }
+                return Ok(());
             }
-            return Ok(());
         };
         match submitted {
             Err(e) => {
+                self.queries.remove(&key);
                 self.summary.events += 1;
                 sink.emit(key.client, &error_event(&key.id, &e.to_string()))
             }
             Ok(session) => {
-                self.install_session(key, cap, session);
+                entry.state = QueryState::Live(session);
                 Ok(())
             }
         }
@@ -773,7 +768,7 @@ impl Daemon {
     /// Reports analysis-job transitions as `analysis_*` events to every
     /// subscribed client; settles and drops watchers whose job reached a
     /// terminal state. Returns whether anything was written.
-    pub(crate) fn pump_watchers(&mut self, sink: &mut impl Sink) -> std::io::Result<bool> {
+    fn pump_watchers(&mut self, sink: &mut impl Sink) -> std::io::Result<bool> {
         let mut lines: Vec<(Vec<u64>, Value)> = Vec::new();
         let Daemon { watchers, catalog, .. } = self;
         watchers.retain_mut(|w| {
@@ -832,62 +827,52 @@ impl Daemon {
         Ok(progressed)
     }
 
-    /// One round-robin sweep over live sessions; also closes out queries
+    /// One round-robin sweep over live sessions, starting after the key
+    /// served last: streams the first ready event, or closes out a query
     /// whose worker died without a `Finished` event. Returns whether
     /// anything was written.
-    pub(crate) fn pump_sessions(&mut self, sink: &mut impl Sink) -> std::io::Result<bool> {
-        if let Some((key, event)) = self.mux.poll() {
-            self.summary.events += 1;
-            let cap = self.top_k.get(&key).copied().flatten();
-            sink.emit(key.client, &event_value(&key.id, &event, cap))?;
-            if let Event::Finished(result) = &event {
-                // Fold the query's search cost into its service's
-                // `inspect` accumulation (the search job's label is the
-                // service name; catalog-less submissions have none).
-                if let Some(job) = self.jobs.remove(&key) {
-                    let service = job.label();
-                    if !service.is_empty() {
-                        let t = self.search_totals.entry(service.to_string()).or_default();
-                        t.queries += 1;
-                        t.nodes += result.stats.search.nodes;
-                        t.dead_hits += result.stats.search.dead_hits;
-                        t.dead_shared_hits += result.stats.search.dead_shared_hits;
-                        t.dead_misses += result.stats.search.dead_misses;
-                        t.dead_evicted += result.stats.search.dead_evicted;
-                    }
-                }
-                self.top_k.remove(&key);
-                self.release_ticket(&key);
+    fn pump_sessions(&mut self, sink: &mut impl Sink) -> std::io::Result<bool> {
+        let polled = match &self.cursor {
+            None => poll_first(self.queries.iter_mut()),
+            Some(last) => {
+                poll_first(self.queries.range_mut((Bound::Excluded(last), Bound::Unbounded)))
+                    .or_else(|| poll_first(self.queries.range_mut(..=last)))
             }
-            return Ok(true);
-        }
-        if self.top_k.len() > self.mux.len() {
-            // A session died without a Finished event (worker panic) and
-            // the multiplexer pruned it: close the query out with a
-            // terminal error event so the client stops waiting and the
-            // key frees up.
-            let mut live: Vec<QKey> = Vec::new();
-            self.mux.for_each_session(|tag, _| live.push(tag.clone()));
-            let dead: Vec<QKey> =
-                self.top_k.keys().filter(|key| !live.contains(key)).cloned().collect();
-            let progressed = !dead.is_empty();
-            for key in dead {
-                self.summary.events += 1;
-                self.top_k.remove(&key);
-                self.release_ticket(&key);
-                // The settled job carries the panic's message: close the
-                // query out with the structured reason.
-                let message = match self.jobs.remove(&key).map(|job| job.state()) {
-                    Some(JobState::Failed(reason)) => {
-                        format!("search worker panicked: {reason}")
-                    }
-                    _ => "session worker terminated unexpectedly".to_string(),
-                };
-                sink.emit(key.client, &error_event(&key.id, &message))?;
+        };
+        let Some((key, event)) = polled else {
+            return Ok(false);
+        };
+        self.cursor = Some(key.clone());
+        self.summary.events += 1;
+        let Some(event) = event else {
+            // The worker died without a Finished event (a panic): close
+            // the query out with the settled job's structured reason so
+            // the client stops waiting and the key frees up.
+            let entry = self.queries.remove(&key).expect("polled key is in the table");
+            let message = match job_of(&entry).map(Job::state) {
+                Some(JobState::Failed(reason)) => format!("search worker panicked: {reason}"),
+                _ => "session worker terminated unexpectedly".to_string(),
+            };
+            return sink.emit(key.client, &error_event(&key.id, &message)).map(|()| true);
+        };
+        let top_k = self.queries[&key].top_k;
+        sink.emit(key.client, &event_value(&key.id, &event, top_k))?;
+        if let Event::Finished(result) = &event {
+            let entry = self.queries.remove(&key).expect("polled key is in the table");
+            // Fold the query's search cost into its service's `inspect`
+            // accumulation (the search job's label is the service name).
+            let service = job_of(&entry).map_or("", Job::label);
+            if !service.is_empty() {
+                let t = self.search_totals.entry(service.to_string()).or_default();
+                t.queries += 1;
+                t.nodes += result.stats.search.nodes;
+                t.dead_hits += result.stats.search.dead_hits;
+                t.dead_shared_hits += result.stats.search.dead_shared_hits;
+                t.dead_misses += result.stats.search.dead_misses;
+                t.dead_evicted += result.stats.search.dead_evicted;
             }
-            return Ok(progressed);
         }
-        Ok(false)
+        Ok(true)
     }
 
     /// Cancels everything: every running session, every watched analysis
@@ -898,31 +883,39 @@ impl Daemon {
     /// running analyses complete and report, and the process exits only
     /// when every in-flight key has had its terminal event.
     pub(crate) fn cancel_all(&mut self) -> Vec<(u64, Value)> {
-        self.mux.for_each_session(|_, session| session.cancel());
         for w in &self.watchers {
             w.job.cancel();
         }
-        let mut waiting: Vec<QKey> = self.pending.drain().map(|(key, _)| key).collect();
-        waiting.sort_by(|a, b| (a.client, &a.id).cmp(&(b.client, &b.id)));
         let mut lines = Vec::new();
-        for key in waiting {
-            self.summary.events += 1;
-            lines.push((key.client, cancelled_finished_value(&key.id)));
-        }
+        self.queries.retain(|key, entry| match &entry.state {
+            QueryState::Live(session) => {
+                session.cancel();
+                true
+            }
+            QueryState::Waiting => {
+                lines.push((key.client, cancelled_finished_value(&key.id)));
+                false
+            }
+        });
+        self.summary.events += lines.len();
         lines
     }
 
     /// A client's connection is gone: cancel exactly that client's
-    /// running sessions (through its cancellation scope), discard its
-    /// analysis-queued queries, and unsubscribe it from analysis watches.
-    /// Other clients' work — including shared analysis jobs — is
-    /// untouched. Returns how many queries were cancelled or discarded.
-    pub(crate) fn drop_client(&mut self, client: u64) -> usize {
-        let cancelled = self.scopes.cancel_scope(client);
-        self.tickets.retain(|key, _| key.client != client);
-        let before = self.pending.len();
-        self.pending.retain(|key, _| key.client != client);
-        let discarded = before - self.pending.len();
+    /// running sessions, discard its analysis-queued queries, and
+    /// unsubscribe it from analysis watches. Other clients' work —
+    /// including shared analysis jobs — is untouched.
+    pub(crate) fn drop_client(&mut self, client: u64) {
+        let mut waiting = Vec::new();
+        for (key, entry) in self.client_queries(client) {
+            match &entry.state {
+                QueryState::Live(session) => session.cancel(),
+                QueryState::Waiting => waiting.push(key.clone()),
+            }
+        }
+        for key in waiting {
+            self.queries.remove(&key);
+        }
         for w in &mut self.watchers {
             w.subscribers.retain(|&c| c != client);
         }
@@ -931,7 +924,32 @@ impl Daemon {
         // `is_idle` stays honest. The cancelled sessions drain through
         // `pump_sessions` (their events go to a gone client — the socket
         // sink drops them) and free their keys on `Finished`.
-        cancelled + discarded
+    }
+}
+
+/// The first entry of `entries` with a live session that has something
+/// to report: `Some(event)` when it has an event ready, `None` when its
+/// worker died without a `Finished` event. Never blocks.
+fn poll_first<'a>(
+    mut entries: impl Iterator<Item = (&'a QKey, &'a mut QueryEntry)>,
+) -> Option<(QKey, Option<Event>)> {
+    entries.find_map(|(key, entry)| {
+        let QueryState::Live(session) = &mut entry.state else {
+            return None;
+        };
+        match session.try_next() {
+            Some(event) => Some((key.clone(), Some(event))),
+            None if session.is_finished() => Some((key.clone(), None)),
+            None => None,
+        }
+    })
+}
+
+/// The search job a live query's session runs as.
+fn job_of(entry: &QueryEntry) -> Option<&Job<()>> {
+    match &entry.state {
+        QueryState::Live(session) => session.job(),
+        QueryState::Waiting => None,
     }
 }
 
@@ -941,4 +959,30 @@ pub(crate) fn write_line(output: &mut impl Write, value: &Value) -> std::io::Res
     line.push('\n');
     output.write_all(line.as_bytes())?;
     output.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A wire query can claim neither more search threads than the
+    /// daemon has slots nor more wall-clock time than the default budget.
+    #[test]
+    fn admission_caps_threads_and_wall_clock() {
+        let cap = Budget::default().wall_clock;
+        let admitted = |wall_clock_ms: &str| {
+            let line = format!(
+                r#"{{"op":"query","id":"q","service":"s","output":"[C]","threads":64,"budget":{{"wall_clock_ms":{wall_clock_ms}}}}}"#
+            );
+            let Ok(Request::Query { mut spec, .. }) = Request::parse(&line) else {
+                panic!("not a query: {line}");
+            };
+            admit(&mut spec, 2);
+            assert_eq!(spec.threads, 2);
+            spec.budget.wall_clock
+        };
+        assert_eq!(admitted("null"), cap, "no limit gets the default");
+        assert_eq!(admitted("9000000000000"), cap, "a huge limit is capped");
+        assert_eq!(admitted("1500"), Some(Duration::from_millis(1500)), "a normal limit stays");
+    }
 }

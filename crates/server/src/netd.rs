@@ -153,7 +153,7 @@ pub fn run_net_daemon(
     opts: &NetOptions,
     term: &TermFlag,
 ) -> std::io::Result<NetSummary> {
-    let (mut daemon, done_rx) = Daemon::new(&opts.daemon);
+    let mut daemon = Daemon::new(&opts.daemon);
     let telemetry = daemon.telemetry().clone();
     let frames_in = telemetry.counter("net.frames_in");
     let frames_out = telemetry.counter("net.frames_out");
@@ -263,17 +263,11 @@ pub fn run_net_daemon(
             progressed = true;
         }
 
+        // 3. Delivered sessions, analysis transitions and session events.
         let mut sink = NetSink { server: &server, frames_out: frames_out.clone() };
-        // 3. Sessions delivered by analysis-job continuations.
-        if let Ok((key, submitted)) = done_rx.try_recv() {
-            progressed = true;
-            daemon.install_submission(&mut sink, key, submitted)?;
-        }
-        // 4. Analysis transitions and session events.
-        progressed |= daemon.pump_watchers(&mut sink)?;
-        progressed |= daemon.pump_sessions(&mut sink)?;
+        progressed |= daemon.pump(&mut sink)?;
 
-        // 5. Drain bookkeeping: past the grace deadline, cancel whatever
+        // 4. Drain bookkeeping: past the grace deadline, cancel whatever
         // is still in flight (each key gets its terminal event); exit
         // once every stream has drained.
         if draining {

@@ -5,6 +5,7 @@
 use std::io::Cursor;
 
 use apiphany_json::{parse, Value};
+use apiphany_core::FaultPlane;
 use apiphany_server::{run_daemon, DaemonOptions};
 
 /// Runs a scripted conversation and returns the parsed response lines.
@@ -589,4 +590,29 @@ fn wire_threads_are_capped_at_the_slot_count() {
     let wide = stream("wide");
     assert!(wide.last().is_some_and(|l| l.contains("\"finished\"")), "{wide:?}");
     assert_eq!(wide, stream("one"));
+}
+
+/// A search worker that dies without a `Finished` event closes its query
+/// out with an `error` event carrying the failed job's reason.
+#[test]
+fn a_dead_search_worker_reports_why_it_died() {
+    let opts = DaemonOptions {
+        fault: FaultPlane::parse(1, "worker_start=panic").expect("valid fault spec"),
+        ..DaemonOptions::default()
+    };
+    let lines = converse(
+        r#"{"op":"register","service":"demo","builtin":"fig7"}
+{"op":"query","id":"q1","service":"demo","inputs":{"channel_name":"Channel.name"},"output":"[Profile.email]","depth":7}
+"#,
+        &opts,
+    );
+    let terminal: Vec<&Value> = lines
+        .iter()
+        .filter(|l| str_field(l, "id") == "q1" && ["error", "finished"].contains(&str_field(l, "event")))
+        .collect();
+    assert_eq!(terminal.len(), 1, "exactly one terminal event: {lines:?}");
+    assert_eq!(str_field(terminal[0], "event"), "error");
+    let message = str_field(terminal[0], "error");
+    assert!(message.starts_with("search worker panicked: "), "{message}");
+    assert!(message.contains("injected fault"), "{message}");
 }

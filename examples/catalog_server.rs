@@ -1,14 +1,12 @@
 //! Serving quickstart: one `JobRuntime` under a `ServiceCatalog` and a
 //! `Scheduler`, so analyze-once phases and synthesis sessions schedule
-//! through the same two-lane pool; a round-robin `Multiplexer`
-//! interleaves the event streams — the same building blocks the `synthd`
-//! daemon wires to stdin/stdout.
+//! through the same two-lane pool; a round-robin `Session::try_next`
+//! loop interleaves the event streams — the same building blocks the
+//! `synthd` daemon wires to stdin/stdout.
 //!
 //! Run with: `cargo run --release --example catalog_server`
 
-use apiphany_repro::core::{
-    Event, JobRuntime, Multiplexer, QuerySpec, Scheduler, ServiceCatalog,
-};
+use apiphany_repro::core::{Event, JobRuntime, QuerySpec, Scheduler, ServiceCatalog};
 use apiphany_repro::services::Square;
 use apiphany_repro::spec::fixtures::{fig4_witnesses, fig7_library};
 use apiphany_repro::spec::Service;
@@ -73,37 +71,46 @@ fn main() {
         ),
     ];
 
-    let mut mux = Multiplexer::new();
+    let mut sessions = Vec::new();
     for (tag, spec) in &queries {
         let session = scheduler
             .submit_catalog(&catalog, spec)
             .expect("service registered and types resolve");
-        mux.push(*tag, session);
+        sessions.push((*tag, session));
         println!("submitted {tag}: {}", spec.to_text());
     }
 
     // Events of both sessions interleave, tagged; each session's own
-    // stream is identical to a dedicated Engine::session run.
-    while let Some((tag, event)) = mux.next_event() {
-        match event {
-            Event::CandidateFound { r_orig, r_re_now, cost, .. } => {
-                println!("[{tag}] candidate #{r_orig} (cost {cost:.0}, RE rank now {r_re_now})");
-            }
-            Event::DepthExhausted { depth } => {
-                println!("[{tag}] depth {depth} exhausted");
-            }
-            Event::BudgetExhausted => println!("[{tag}] budget exhausted"),
-            Event::Finished(result) => {
-                println!(
-                    "[{tag}] finished: {} candidates in {:.1?}",
-                    result.ranked.len(),
-                    result.total_time
-                );
-                if let Some(best) = result.ranked.first() {
-                    println!("[{tag}] top-ranked program:\n{}", best.program);
+    // stream is identical to a dedicated Engine::session run. Polling is
+    // non-blocking, so a session still waiting for a slot never stalls
+    // the others.
+    while !sessions.is_empty() {
+        for (tag, session) in &mut sessions {
+            let Some(event) = session.try_next() else {
+                continue;
+            };
+            match event {
+                Event::CandidateFound { r_orig, r_re_now, cost, .. } => {
+                    println!("[{tag}] candidate #{r_orig} (cost {cost:.0}, RE rank now {r_re_now})");
+                }
+                Event::DepthExhausted { depth } => {
+                    println!("[{tag}] depth {depth} exhausted");
+                }
+                Event::BudgetExhausted => println!("[{tag}] budget exhausted"),
+                Event::Finished(result) => {
+                    println!(
+                        "[{tag}] finished: {} candidates in {:.1?}",
+                        result.ranked.len(),
+                        result.total_time
+                    );
+                    if let Some(best) = result.ranked.first() {
+                        println!("[{tag}] top-ranked program:\n{}", best.program);
+                    }
                 }
             }
         }
+        sessions.retain(|(_, session)| !session.is_finished());
+        std::thread::yield_now();
     }
 
     // The analyze-once cost stays inspectable per service.

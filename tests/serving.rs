@@ -10,9 +10,7 @@
 //! (`elapsed`, `re_time`, `total_time`) are excluded — they differ
 //! between any two runs of anything.
 
-use apiphany_repro::core::{
-    Budget, Engine, Event, Multiplexer, QuerySpec, Scheduler, ServiceCatalog,
-};
+use apiphany_repro::core::{Budget, Engine, Event, QuerySpec, Scheduler, ServiceCatalog};
 use apiphany_repro::spec::fixtures::{fig4_witnesses, fig7_library};
 use proptest::prelude::*;
 
@@ -142,8 +140,8 @@ proptest! {
         }
     }
 
-    /// Round-robin multiplexing over an oversubscribed scheduler delivers
-    /// every stream intact, whatever the slot count.
+    /// Round-robin `try_next` polling over an oversubscribed scheduler
+    /// delivers every stream intact, whatever the slot count.
     #[test]
     fn oversubscribed_multiplexer_preserves_streams(
         slots in 1usize..4,
@@ -154,13 +152,18 @@ proptest! {
         let spec = email_spec("demo");
         let reference = stream_of(&engine.open(&spec).unwrap().collect::<Vec<_>>());
         let scheduler = Scheduler::new(slots);
-        let mut mux = Multiplexer::new();
-        for id in 0..n_sessions {
-            mux.push(id, scheduler.submit_catalog(&catalog, &spec).unwrap());
-        }
+        let mut sessions: Vec<_> = (0..n_sessions)
+            .map(|id| (id, scheduler.submit_catalog(&catalog, &spec).unwrap()))
+            .collect();
         let mut streams: Vec<Vec<String>> = (0..n_sessions).map(|_| Vec::new()).collect();
-        while let Some((id, event)) = mux.next_event() {
-            streams[id].push(fingerprint(&event));
+        while !sessions.is_empty() {
+            for (id, session) in &mut sessions {
+                if let Some(event) = session.try_next() {
+                    streams[*id].push(fingerprint(&event));
+                }
+            }
+            sessions.retain(|(_, session)| !session.is_finished());
+            std::thread::yield_now();
         }
         for stream in &streams {
             prop_assert_eq!(stream, &reference);
