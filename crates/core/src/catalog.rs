@@ -861,8 +861,9 @@ fn analyze_spec(
         .build_options(cfg.build.clone())
         .cancel_token(cancel.clone())
         .from_witnesses(library, witnesses);
-    // Never persist a partially mined (cancelled) analysis.
-    if !cancel.is_cancelled() {
+    // Never persist a partially mined (cancelled) analysis; and with no
+    // store, skip building the artifact (a copy of the whole analysis).
+    if cache_dir.is_some() && !cancel.is_cancelled() {
         let artifact = engine.save_analysis().named(name);
         if let Some(w) = store_cached(cache_dir, name, &artifact, &cfg.fault) {
             warning = Some(match warning {

@@ -1,8 +1,14 @@
 //! The top-level API-analysis loop (paper Fig. 20, Appendix D):
 //! alternate `MineTypes` with type-directed random test generation until a
 //! fixpoint (or a round budget) is reached.
+//!
+//! The witness set only grows, so the loop does not re-mine it from
+//! scratch each round: one incremental [`Miner`] is fed the witnesses each
+//! round appends and then snapshotted, which yields exactly the library a
+//! batch [`mine_types`] of the whole set would (see the `mine` module).
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasher, Hash, Hasher, RandomState};
 
 use apiphany_json::Value;
 use apiphany_spec::{CancelToken, Service, Witness};
@@ -10,7 +16,8 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use crate::mine::{mine_types, mine_types_cancellable, MiningConfig};
+use crate::bank::{hash_json, hash_json_fields, same_json, same_json_fields, HashIndex};
+use crate::mine::{mine_types, Miner, MiningConfig};
 use crate::sample::sample_value;
 use crate::semlib::SemLib;
 
@@ -109,63 +116,85 @@ pub fn analyze_api(
 ) -> AnalysisResult {
     let lib = service.library().clone();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut witnesses: Vec<Witness> = Vec::new();
-    let mut seen: HashSet<String> = HashSet::new();
+    let mut set = WitnessSet::default();
     for w in initial {
-        push_witness(&mut witnesses, &mut seen, w.clone());
+        set.push(w.clone());
     }
 
     // On cancellation mid-mining, fall back to a cheap unwitnessed mine so
     // the partial result is still a structurally complete library.
-    let finish = |witnesses: Vec<Witness>, rounds: usize| {
+    let finish = |set: WitnessSet, rounds: usize| {
         let semlib = mine_types(&lib, &[], mining);
-        let stats = AnalyzeStats::of_witnesses(&witnesses, rounds);
-        AnalysisResult { semlib, witnesses, stats }
+        let stats = AnalyzeStats::of_witnesses(&set.witnesses, rounds);
+        AnalysisResult { semlib, witnesses: set.witnesses, stats }
     };
 
     let mut rounds = 0;
-    let Some(mut semlib) = mine_types_cancellable(&lib, &witnesses, mining, cancel) else {
-        return finish(witnesses, rounds);
-    };
+    let mut miner = Miner::new(&lib, mining);
+    if !miner.add_witnesses(&set.witnesses, cancel) {
+        return finish(set, rounds);
+    }
+    let mut semlib = miner.snapshot();
     for _ in 0..cfg.max_rounds {
         if cancel.is_cancelled() {
             break;
         }
         rounds += 1;
         let new = generate_tests(service, &semlib, cfg, &mut rng);
-        let mut added = 0;
+        let mined = set.witnesses.len();
         for w in new {
-            if per_method_count(&witnesses, &w.method) >= cfg.max_witnesses_per_method {
-                continue;
-            }
-            if push_witness(&mut witnesses, &mut seen, w) {
-                added += 1;
+            if set.count(&w.method) < cfg.max_witnesses_per_method {
+                set.push(w);
             }
         }
-        semlib = match mine_types_cancellable(&lib, &witnesses, mining, cancel) {
-            Some(semlib) => semlib,
-            None => return finish(witnesses, rounds),
+        if !miner.add_witnesses(&set.witnesses[mined..], cancel) {
+            return finish(set, rounds);
+        }
+        if set.witnesses.len() == mined {
+            break; // a fixpoint: the last snapshot already mines every witness
+        }
+        semlib = miner.snapshot();
+    }
+
+    let stats = AnalyzeStats::of_witnesses(&set.witnesses, rounds);
+    AnalysisResult { semlib, witnesses: set.witnesses, stats }
+}
+
+/// The growing witness set `W`: distinct witnesses in arrival order, with
+/// a count per method for the per-method cap. Witnesses are distinct when
+/// their JSON forms ([`Witness::to_value`]) differ as text.
+#[derive(Debug, Default)]
+struct WitnessSet {
+    witnesses: Vec<Witness>,
+    /// Indexes `witnesses` by a keyed hash of their JSON forms.
+    index: HashIndex,
+    hasher: RandomState,
+    per_method: HashMap<String, usize>,
+}
+
+impl WitnessSet {
+    /// Appends `w` unless an equal witness is already in the set.
+    fn push(&mut self, w: Witness) {
+        let mut h = self.hasher.build_hasher();
+        w.method.hash(&mut h);
+        hash_json_fields(&w.args, &mut h);
+        hash_json(&w.output, &mut h);
+        let h = h.finish();
+        let same = |i: usize| {
+            let v = &self.witnesses[i];
+            v.method == w.method
+                && same_json_fields(&v.args, &w.args)
+                && same_json(&v.output, &w.output)
         };
-        if added == 0 {
-            break;
+        if !self.index.contains(h, same) {
+            self.index.push(h);
+            *self.per_method.entry(w.method.clone()).or_default() += 1;
+            self.witnesses.push(w);
         }
     }
 
-    let stats = AnalyzeStats::of_witnesses(&witnesses, rounds);
-    AnalysisResult { semlib, witnesses, stats }
-}
-
-fn per_method_count(witnesses: &[Witness], method: &str) -> usize {
-    witnesses.iter().filter(|w| w.method == method).count()
-}
-
-fn push_witness(witnesses: &mut Vec<Witness>, seen: &mut HashSet<String>, w: Witness) -> bool {
-    let key = w.to_value().to_json();
-    if seen.insert(key) {
-        witnesses.push(w);
-        true
-    } else {
-        false
+    fn count(&self, method: &str) -> usize {
+        self.per_method.get(method).copied().unwrap_or(0)
     }
 }
 
@@ -383,5 +412,48 @@ mod tests {
         // nothing; parameterized methods stay uncovered without witnesses
         // linking their parameter types (type-directed sampling only).
         assert!(result.stats.n_covered_methods >= 1);
+    }
+
+    /// Witnesses are the same exactly when their JSON forms are the same
+    /// text: argument order and `3` vs `3.0` tell witnesses apart.
+    #[test]
+    fn witness_set_dedups_by_json_text() {
+        use apiphany_json::json;
+        let w = |args: Vec<(&str, Value)>, out: Value| Witness::new("m", args, out);
+        let mut set = WitnessSet::default();
+        for witness in [
+            w(vec![("a", json!(1)), ("b", json!("x"))], json!({"k": [1, 2]})),
+            w(vec![("a", json!(1)), ("b", json!("x"))], json!({"k": [1, 2]})),
+            w(vec![("b", json!("x")), ("a", json!(1))], json!({"k": [1, 2]})),
+            w(vec![("a", json!(1.0)), ("b", json!("x"))], json!({"k": [1, 2]})),
+            w(vec![("a", json!(1)), ("b", json!("x"))], json!({"k": [2, 1]})),
+            Witness::new("n", vec![("a", json!(1)), ("b", json!("x"))], json!({"k": [1, 2]})),
+        ] {
+            set.push(witness);
+        }
+        let texts: HashSet<String> = set.witnesses.iter().map(|w| w.to_value().to_json()).collect();
+        assert_eq!(set.witnesses.len(), 5);
+        assert_eq!(texts.len(), 5);
+        assert_eq!((set.count("m"), set.count("n"), set.count("o")), (4, 1, 0));
+    }
+
+    #[test]
+    fn per_method_cap_bounds_generated_witnesses() {
+        // The seed already holds one `u_info` witness; at a cap of one,
+        // the second user testing finds is turned away.
+        let seed = vec![fig4_witnesses()[0].clone(), fig4_witnesses()[1].clone()];
+        let run = |cap| {
+            let cfg = AnalyzeConfig {
+                max_rounds: 6,
+                attempts_per_subset: 12,
+                max_witnesses_per_method: cap,
+                ..AnalyzeConfig::default()
+            };
+            let mining = MiningConfig::default();
+            let r = analyze_api(&mut MiniSlack::new(), &seed, &mining, &cfg, &CancelToken::new());
+            r.witnesses.iter().filter(|w| w.method == "u_info").count()
+        };
+        assert_eq!(run(1), 1);
+        assert!(run(150) > 1);
     }
 }

@@ -6,125 +6,123 @@
 //! merges the new pair into the corresponding group(s), otherwise it opens a
 //! new group. When two pairs end up in the same group, their locations have
 //! the same semantic type.
+//!
+//! Locations are dense ids handed out by the miner (one node each); a value
+//! maps to the node of the first location it was seen at, so a value costs
+//! no node of its own.
 
 use std::collections::HashMap;
 
-use apiphany_spec::Loc;
+use apiphany_spec::SynTy;
 
 /// A scalar value that participates in value-based merging.
 ///
 /// Per the paper's §7.4, merging is value-based only for strings and large
 /// integers; booleans and small integers never merge (their locations stay
 /// in singleton groups).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum ScalarKey {
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum ScalarKey<'v> {
     /// A string value.
-    Str(String),
+    Str(&'v str),
     /// A (large) integer value.
     Int(i64),
+    /// Every value of one primitive type: the `APIphany-Syn` ablation
+    /// merges all locations of a type through this one key.
+    Type(&'v SynTy),
 }
 
-/// Union-find over locations and scalar values.
+const NONE: u32 = u32::MAX;
+
+/// Union-find over location ids, with values merging the locations they
+/// were seen at.
 #[derive(Debug, Default)]
-pub struct PairDsu {
-    parent: Vec<usize>,
+pub(crate) struct PairDsu {
+    parent: Vec<u32>,
     rank: Vec<u8>,
-    loc_node: HashMap<Loc, usize>,
-    val_node: HashMap<ScalarKey, usize>,
+    strs: HashMap<String, u32>,
+    ints: HashMap<i64, u32>,
+    /// The first location of each primitive type (`Str`, `Int`, `Bool`,
+    /// `Float`) for [`ScalarKey::Type`].
+    types: [u32; 4],
 }
 
 impl PairDsu {
     /// Creates an empty disjoint-set.
-    pub fn new() -> PairDsu {
-        PairDsu::default()
+    pub(crate) fn new() -> PairDsu {
+        PairDsu { types: [NONE; 4], ..PairDsu::default() }
     }
 
-    fn fresh(&mut self) -> usize {
-        let id = self.parent.len();
+    /// Adds a singleton node for the next location id and returns that id.
+    pub(crate) fn add_loc(&mut self) -> u32 {
+        let id = self.parent.len() as u32;
         self.parent.push(id);
         self.rank.push(0);
         id
     }
 
-    fn find_node(&mut self, mut x: usize) -> usize {
-        while self.parent[x] != x {
-            self.parent[x] = self.parent[self.parent[x]];
-            x = self.parent[x];
+    /// The representative of a location's group.
+    pub(crate) fn find(&mut self, mut x: u32) -> u32 {
+        while self.parent[x as usize] != x {
+            let up = self.parent[self.parent[x as usize] as usize];
+            self.parent[x as usize] = up;
+            x = up;
         }
         x
     }
 
-    fn union(&mut self, a: usize, b: usize) {
-        let (ra, rb) = (self.find_node(a), self.find_node(b));
+    fn union(&mut self, a: u32, b: u32) {
+        let (ra, rb) = (self.find(a), self.find(b));
         if ra == rb {
             return;
         }
-        if self.rank[ra] < self.rank[rb] {
-            self.parent[ra] = rb;
-        } else if self.rank[ra] > self.rank[rb] {
-            self.parent[rb] = ra;
-        } else {
-            self.parent[rb] = ra;
-            self.rank[ra] += 1;
-        }
-    }
-
-    /// Ensures `loc` has a node, without associating any value
-    /// (used so that unwitnessed locations still receive singleton groups).
-    pub fn touch_loc(&mut self, loc: &Loc) {
-        if !self.loc_node.contains_key(loc) {
-            let n = self.fresh();
-            self.loc_node.insert(loc.clone(), n);
+        let (ra, rb) = (ra as usize, rb as usize);
+        match self.rank[ra].cmp(&self.rank[rb]) {
+            std::cmp::Ordering::Less => self.parent[ra] = rb as u32,
+            std::cmp::Ordering::Greater => self.parent[rb] = ra as u32,
+            std::cmp::Ordering::Equal => {
+                self.parent[rb] = ra as u32;
+                self.rank[ra] += 1;
+            }
         }
     }
 
     /// Inserts the pair `(loc, value)`, merging groups that share either
     /// component (the paper's `insert`).
-    pub fn insert(&mut self, loc: &Loc, value: ScalarKey) {
-        self.touch_loc(loc);
-        let ln = self.loc_node[loc];
-        match self.val_node.get(&value) {
-            Some(&vn) => self.union(ln, vn),
-            None => {
-                self.val_node.insert(value, ln);
+    pub(crate) fn insert(&mut self, loc: u32, value: ScalarKey<'_>) {
+        let first = match value {
+            ScalarKey::Str(s) => match self.strs.get(s) {
+                Some(&n) => n,
+                None => {
+                    self.strs.insert(s.to_string(), loc);
+                    return;
+                }
+            },
+            ScalarKey::Int(i) => *self.ints.entry(i).or_insert(loc),
+            ScalarKey::Type(ty) => {
+                let slot = &mut self.types[type_slot(ty)];
+                if *slot == NONE {
+                    *slot = loc;
+                }
+                *slot
             }
-        }
+        };
+        self.union(loc, first);
     }
 
     /// True iff the two locations are currently in the same group.
-    pub fn same_group(&mut self, a: &Loc, b: &Loc) -> bool {
-        match (self.loc_node.get(a).copied(), self.loc_node.get(b).copied()) {
-            (Some(na), Some(nb)) => self.find_node(na) == self.find_node(nb),
-            _ => false,
-        }
+    #[cfg(test)]
+    pub(crate) fn same_group(&mut self, a: u32, b: u32) -> bool {
+        self.find(a) == self.find(b)
     }
+}
 
-    /// Extracts the final partition: each element is the sorted loc-set of
-    /// one group (the paper's `find`, materialized for all locations at
-    /// once). Groups are ordered deterministically by their smallest
-    /// location.
-    pub fn groups(&mut self) -> Vec<Vec<Loc>> {
-        let locs: Vec<(Loc, usize)> =
-            self.loc_node.iter().map(|(l, &n)| (l.clone(), n)).collect();
-        let mut by_root: HashMap<usize, Vec<Loc>> = HashMap::new();
-        for (loc, node) in locs {
-            let root = self.find_node(node);
-            by_root.entry(root).or_default().push(loc);
-        }
-        let mut groups: Vec<Vec<Loc>> = by_root
-            .into_values()
-            .map(|mut locs| {
-                locs.sort();
-                locs
-            })
-            .collect();
-        groups.sort();
-        groups
-    }
-
-    /// Number of distinct locations registered.
-    pub fn n_locs(&self) -> usize {
-        self.loc_node.len()
+fn type_slot(ty: &SynTy) -> usize {
+    match ty {
+        SynTy::Str => 0,
+        SynTy::Int => 1,
+        SynTy::Bool => 2,
+        SynTy::Float => 3,
+        _ => unreachable!("ScalarKey::Type of a non-scalar type"),
     }
 }
 
@@ -132,67 +130,89 @@ impl PairDsu {
 mod tests {
     use super::*;
 
-    fn loc(s: &str) -> Loc {
-        Loc::parse(s, |n| n.chars().next().is_some_and(char::is_uppercase)).unwrap()
+    fn dsu(n: usize) -> PairDsu {
+        let mut ds = PairDsu::new();
+        for _ in 0..n {
+            ds.add_loc();
+        }
+        ds
     }
 
     #[test]
     fn shared_value_merges_locations() {
-        let mut ds = PairDsu::new();
-        ds.insert(&loc("User.id"), ScalarKey::Str("UJ5".into()));
-        ds.insert(&loc("u_info.in.user"), ScalarKey::Str("UJ5".into()));
-        ds.insert(&loc("Channel.creator"), ScalarKey::Str("UJ5".into()));
-        assert!(ds.same_group(&loc("User.id"), &loc("u_info.in.user")));
-        assert!(ds.same_group(&loc("User.id"), &loc("Channel.creator")));
+        let mut ds = dsu(3);
+        ds.insert(0, ScalarKey::Str("UJ5"));
+        ds.insert(1, ScalarKey::Str("UJ5"));
+        ds.insert(2, ScalarKey::Str("UJ5"));
+        assert!(ds.same_group(0, 1));
+        assert!(ds.same_group(0, 2));
     }
 
     #[test]
     fn distinct_values_do_not_merge() {
-        let mut ds = PairDsu::new();
-        ds.insert(&loc("User.id"), ScalarKey::Str("U1".into()));
-        ds.insert(&loc("Channel.id"), ScalarKey::Str("C1".into()));
-        assert!(!ds.same_group(&loc("User.id"), &loc("Channel.id")));
-        assert_eq!(ds.groups().len(), 2);
+        let mut ds = dsu(2);
+        ds.insert(0, ScalarKey::Str("U1"));
+        ds.insert(1, ScalarKey::Str("C1"));
+        assert!(!ds.same_group(0, 1));
     }
 
     #[test]
     fn transitive_merge_through_location() {
-        let mut ds = PairDsu::new();
-        // User.id sees two values; each value also appears elsewhere:
-        ds.insert(&loc("User.id"), ScalarKey::Str("A".into()));
-        ds.insert(&loc("User.id"), ScalarKey::Str("B".into()));
-        ds.insert(&loc("f.in.x"), ScalarKey::Str("A".into()));
-        ds.insert(&loc("g.in.y"), ScalarKey::Str("B".into()));
-        assert!(ds.same_group(&loc("f.in.x"), &loc("g.in.y")));
-        assert_eq!(ds.groups().len(), 1);
-    }
-
-    #[test]
-    fn touch_creates_singletons() {
-        let mut ds = PairDsu::new();
-        ds.touch_loc(&loc("User.tz"));
-        ds.touch_loc(&loc("User.tz"));
-        assert_eq!(ds.n_locs(), 1);
-        assert_eq!(ds.groups(), vec![vec![loc("User.tz")]]);
+        let mut ds = dsu(3);
+        // Location 0 sees two values; each value also appears elsewhere:
+        ds.insert(0, ScalarKey::Str("A"));
+        ds.insert(0, ScalarKey::Str("B"));
+        ds.insert(1, ScalarKey::Str("A"));
+        ds.insert(2, ScalarKey::Str("B"));
+        assert!(ds.same_group(1, 2));
     }
 
     #[test]
     fn int_and_string_keys_are_distinct() {
-        let mut ds = PairDsu::new();
-        ds.insert(&loc("A.x"), ScalarKey::Int(12345));
-        ds.insert(&loc("B.y"), ScalarKey::Str("12345".into()));
-        assert!(!ds.same_group(&loc("A.x"), &loc("B.y")));
+        let mut ds = dsu(4);
+        ds.insert(0, ScalarKey::Int(12345));
+        ds.insert(1, ScalarKey::Str("12345"));
+        ds.insert(2, ScalarKey::Type(&SynTy::Int));
+        ds.insert(3, ScalarKey::Type(&SynTy::Str));
+        for (a, b) in [(0, 1), (0, 2), (1, 3), (2, 3)] {
+            assert!(!ds.same_group(a, b), "{a} and {b} merged");
+        }
+    }
+
+    #[test]
+    fn touch_creates_singletons() {
+        let mut ds = dsu(2);
+        assert_eq!(ds.add_loc(), 2);
+        ds.insert(0, ScalarKey::Str("v"));
+        for (a, b) in [(0, 1), (0, 2), (1, 2)] {
+            assert!(!ds.same_group(a, b), "{a} and {b} merged");
+        }
+        assert_eq!((0..3).map(|l| ds.find(l)).collect::<Vec<_>>(), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn type_keys_merge_every_location_of_the_type() {
+        let mut ds = dsu(3);
+        ds.insert(0, ScalarKey::Type(&SynTy::Bool));
+        ds.insert(1, ScalarKey::Type(&SynTy::Str));
+        ds.insert(2, ScalarKey::Type(&SynTy::Bool));
+        assert!(ds.same_group(0, 2));
+        assert!(!ds.same_group(0, 1));
     }
 
     #[test]
     fn groups_are_deterministic() {
-        let build = || {
-            let mut ds = PairDsu::new();
-            ds.insert(&loc("B.b"), ScalarKey::Str("v1".into()));
-            ds.insert(&loc("A.a"), ScalarKey::Str("v1".into()));
-            ds.insert(&loc("C.c"), ScalarKey::Str("v2".into()));
-            ds.groups()
+        let pairs = [(0, "v1"), (1, "v1"), (2, "v2"), (3, "v3"), (2, "v3"), (4, "v4")];
+        let partition = |order: &mut dyn Iterator<Item = &(u32, &'static str)>| {
+            let mut ds = dsu(5);
+            for &(loc, v) in order {
+                ds.insert(loc, ScalarKey::Str(v));
+            }
+            let roots: Vec<u32> = (0..5).map(|l| ds.find(l)).collect();
+            // Name each group by its smallest member.
+            roots.iter().map(|r| roots.iter().position(|m| m == r).unwrap()).collect::<Vec<_>>()
         };
-        assert_eq!(build(), build());
+        assert_eq!(partition(&mut pairs.iter()), partition(&mut pairs.iter().rev()));
+        assert_eq!(partition(&mut pairs.iter()), vec![0, 0, 2, 2, 4]);
     }
 }

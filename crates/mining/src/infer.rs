@@ -10,7 +10,7 @@
 //! * `c_list.out.0.creator` canonicalizes to `Channel.creator`;
 //! * `u_info.in.user` is already canonical (no named object on the way).
 
-use apiphany_spec::{Label, Library, Loc, Root, SynTy};
+use apiphany_spec::{Label, Library, Loc, MethodSig, RecordTy, Root, SynTy};
 
 /// The folded context reached while canonicalizing a location: either we
 /// are "inside" a named object definition, or on a path that has not
@@ -34,6 +34,63 @@ impl Folded {
     }
 }
 
+/// A borrowed position in the library: the syntactic type a folded
+/// context denotes, as far as a label can step into it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Cursor<'l> {
+    /// A method root, which steps only by `in` and `out`.
+    Method(&'l MethodSig),
+    /// A record: an object definition, a parameter record or an ad-hoc
+    /// record type. Steps by field name.
+    Record(&'l RecordTy),
+    /// An array, which steps by the element label.
+    Array(&'l SynTy),
+    /// A scalar, or an object the library does not define: no label steps.
+    Leaf,
+}
+
+impl<'l> Cursor<'l> {
+    /// The cursor at a named object's root.
+    pub(crate) fn object(lib: &'l Library, name: &str) -> Cursor<'l> {
+        lib.objects.get(name).map_or(Cursor::Leaf, Cursor::Record)
+    }
+
+    fn of_ty(ty: &'l SynTy) -> Cursor<'l> {
+        match ty {
+            SynTy::Record(r) => Cursor::Record(r),
+            SynTy::Array(elem) => Cursor::Array(elem),
+            _ => Cursor::Leaf,
+        }
+    }
+}
+
+/// Where one label leads from a cursor — the folding rule of Fig. 15.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Step<'l> {
+    /// ObjFollow: the label enters a named object, which folds the prefix
+    /// away; the new context is that object's root.
+    Object(&'l str),
+    /// PathFollow / Arr / AdHoc: the canonical path extends by the label.
+    Path(Cursor<'l>),
+}
+
+/// Steps a cursor by one label. `None` when the library does not describe
+/// the location (labels never step *through* a named object: folding
+/// re-roots the cursor at the object's definition instead).
+pub(crate) fn lookup_step<'l>(at: Cursor<'l>, label: &Label) -> Option<Step<'l>> {
+    let ty = match (at, label) {
+        (Cursor::Method(sig), Label::In) => return Some(Step::Path(Cursor::Record(&sig.params))),
+        (Cursor::Method(sig), Label::Out) => &sig.response,
+        (Cursor::Record(r), Label::Named(name)) => &r.field(name)?.ty,
+        (Cursor::Array(elem), Label::Elem) => elem,
+        _ => return None,
+    };
+    Some(match ty {
+        SynTy::Object(o) => Step::Object(o),
+        _ => Step::Path(Cursor::of_ty(ty)),
+    })
+}
+
 /// Canonicalizes (folds) a location against the library.
 ///
 /// Returns `None` when the location does not exist in the library (e.g. a
@@ -41,51 +98,19 @@ impl Folded {
 /// raw location in that case, matching the paper's treatment of locations
 /// "not in DS".
 pub fn fold(lib: &Library, loc: &Loc) -> Option<Folded> {
-    let mut ctx = match &loc.root {
-        Root::Object(o) => {
-            if !lib.is_object(o) {
-                return None;
-            }
-            Folded::Object(o.clone())
-        }
+    let (mut ctx, mut at) = match &loc.root {
+        Root::Object(o) => (Folded::Object(o.clone()), Cursor::Record(lib.objects.get(o)?)),
         Root::Method(f) => {
-            if !lib.methods.contains_key(f) {
-                return None;
-            }
-            Folded::Path(Loc::method(f.clone()))
+            (Folded::Path(Loc::method(f.clone())), Cursor::Method(lib.methods.get(f)?))
         }
     };
     for label in &loc.path {
-        let ty = lookup_step(lib, &ctx, label)?;
-        ctx = match ty {
-            // ObjFollow: entering a named object folds the prefix.
-            SynTy::Object(o) => Folded::Object(o),
-            // PathFollow / Arr / AdHoc: extend the canonical path.
-            _ => Folded::Path(ctx.to_loc().child(label.clone())),
+        (ctx, at) = match lookup_step(at, label)? {
+            Step::Object(o) => (Folded::Object(o.to_string()), Cursor::object(lib, o)),
+            Step::Path(next) => (Folded::Path(ctx.to_loc().child(label.clone())), next),
         };
     }
     Some(ctx)
-}
-
-/// The syntactic type one label past a folded context.
-pub fn lookup_step(lib: &Library, ctx: &Folded, label: &Label) -> Option<SynTy> {
-    match ctx {
-        Folded::Object(o) => match label {
-            Label::Named(name) => lib.objects.get(o)?.field(name).map(|f| f.ty.clone()),
-            _ => None,
-        },
-        Folded::Path(loc) => lib.lookup(&loc.child(label.clone())),
-    }
-}
-
-/// The syntactic type *of* a folded context.
-pub fn lookup_ctx(lib: &Library, ctx: &Folded) -> Option<SynTy> {
-    match ctx {
-        Folded::Object(o) => {
-            lib.objects.get(o).map(|_| SynTy::Object(o.clone()))
-        }
-        Folded::Path(loc) => lib.lookup(loc),
-    }
 }
 
 /// Canonicalizes a location that denotes a *scalar* value, returning the

@@ -30,6 +30,7 @@
 //! ```
 
 mod analyze;
+mod bank;
 mod codec;
 mod dsu;
 mod infer;
@@ -37,10 +38,11 @@ mod mine;
 mod query;
 mod sample;
 mod semlib;
+#[cfg(test)]
+mod service_tests;
 
 pub use analyze::{analyze_api, generate_tests, AnalysisResult, AnalyzeConfig, AnalyzeStats};
-pub use dsu::{PairDsu, ScalarKey};
-pub use infer::{canonical_scalar_loc, fold, lookup_ctx, lookup_step, Folded};
+pub use infer::{canonical_scalar_loc, fold, Folded};
 pub use mine::{mine_types, mine_types_cancellable, Granularity, MiningConfig};
 pub use query::{parse_query, parse_sem_ty, Query, QueryParseError};
 pub use sample::sample_value;

@@ -1,15 +1,38 @@
 //! The `MineTypes` algorithm (paper Fig. 8): build the disjoint-set from a
 //! witness set, then build the semantic library from the disjoint-set.
+//!
+//! [`Miner`] does this incrementally. It walks each witness value together
+//! with the library type at its location (a [`Cursor`]), so every scalar
+//! lands on its canonical location in one step per label, without
+//! re-folding the path from the root. Each canonical location is interned
+//! once into a dense id; the disjoint-set and the value banks are vectors
+//! indexed by it. [`Miner::snapshot`] builds the semantic library of the
+//! witnesses added so far, and more can be added after it.
+//!
+//! A snapshot after adding `W1` and then `W2` equals a batch mine of
+//! `W1 ++ W2`, because
+//! - a union-find partition does not depend on the order its pairs were
+//!   inserted in;
+//! - value banks fill in witness order, which is the same either way; and
+//! - groups are sorted by their locations before ids are assigned, so
+//!   neither group ids nor loc-sets depend on the order locations were
+//!   interned in.
+//!
+//! [`mine_types`] is one miner fed the whole set. [`crate::analyze_api`]
+//! keeps one miner across its enrichment rounds, feeds it only the
+//! witnesses each round appends, and walks the library's definitions once.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::HashMap;
 
 use apiphany_json::Value;
 use apiphany_spec::{
-    CancelToken, GroupId, Label, Library, Loc, SemFieldTy, SemRecordTy, SemTy, SynTy, Witness,
+    CancelToken, GroupId, Label, Library, Loc, RecordTy, Root, SemFieldTy, SemRecordTy, SemTy,
+    SynTy, Witness,
 };
 
+use crate::bank::Bank;
 use crate::dsu::{PairDsu, ScalarKey};
-use crate::infer::{canonical_scalar_loc, fold, Folded};
+use crate::infer::{lookup_step, Cursor, Step};
 use crate::semlib::{pick_display, GroupData, SemLib, SemMethodSig};
 
 /// Type granularity: the three TTN variants of the paper's ablation (§7.2).
@@ -55,19 +78,6 @@ impl MiningConfig {
     }
 }
 
-/// Reserved value keys used to merge all locations of one primitive type in
-/// the `APIphany-Syn` ablation. The `\u{0}` prefix cannot appear in real
-/// witness strings produced by the simulated services.
-fn syn_type_key(ty: &SynTy) -> ScalarKey {
-    match ty {
-        SynTy::Str => ScalarKey::Str("\u{0}__ALL_STRINGS__".into()),
-        SynTy::Int => ScalarKey::Str("\u{0}__ALL_INTS__".into()),
-        SynTy::Bool => ScalarKey::Str("\u{0}__ALL_BOOLS__".into()),
-        SynTy::Float => ScalarKey::Str("\u{0}__ALL_FLOATS__".into()),
-        _ => unreachable!("syn_type_key on non-scalar"),
-    }
-}
-
 /// Runs type mining: `MineTypes(Λ, W)` of the paper's Fig. 8.
 ///
 /// Every scalar location of the library receives a semantic type: witnessed
@@ -89,133 +99,413 @@ pub fn mine_types_cancellable(
     cfg: &MiningConfig,
     cancel: &CancelToken,
 ) -> Option<SemLib> {
-    let mut ds = PairDsu::new();
-    let mut bank: HashMap<Loc, Vec<Value>> = HashMap::new();
-    let mut bank_seen: HashMap<Loc, HashSet<String>> = HashMap::new();
-    let mut object_bank: HashMap<String, Vec<Value>> = HashMap::new();
-    let mut object_seen: HashMap<String, HashSet<String>> = HashMap::new();
+    let mut miner = Miner::new(lib, cfg);
+    miner.add_witnesses(witnesses, cancel).then(|| miner.snapshot())
+}
 
-    // Phase 1 (lines 2-5 of Fig. 8): register all witnesses.
-    for w in witnesses {
-        if cancel.is_cancelled() {
-            return None;
-        }
-        let in_loc = Loc::method(w.method.clone()).child(Label::In);
-        let out_loc = Loc::method(w.method.clone()).child(Label::Out);
-        add_value(lib, cfg, &mut ds, &mut bank, &mut bank_seen, &mut object_bank,
-                  &mut object_seen, &in_loc, &w.args_value());
-        add_value(lib, cfg, &mut ds, &mut bank, &mut bank_seen, &mut object_bank,
-                  &mut object_seen, &out_loc, &w.output);
-    }
+const NONE: u32 = u32::MAX;
 
-    // Make sure every scalar location of the library has a node, so that
-    // unwitnessed locations still get (singleton) semantic types; for the
-    // syntactic ablation this is also where whole-type merging happens.
-    for_each_scalar_loc(lib, &mut |loc, ty| match cfg.granularity {
-        Granularity::Syntactic => ds.insert(&loc, syn_type_key(ty)),
-        _ => ds.touch_loc(&loc),
-    });
+/// Incremental `MineTypes` over one library (see the module docs).
+#[derive(Debug)]
+pub(crate) struct Miner<'l> {
+    lib: &'l Library,
+    cfg: MiningConfig,
+    locs: LocTable,
+    /// The ids of the library's scalar definitions, in
+    /// [`for_each_scalar_loc`] order (which [`DefBuilder`] follows too).
+    def_ids: Vec<u32>,
+    /// Location ids sorted by location; ids interned since the last
+    /// snapshot are not in it yet.
+    sorted: Vec<u32>,
+    nodes: Vec<Node<'l>>,
+    /// Child slots of the nodes (see [`Node::kids`]).
+    kids: Vec<u32>,
+    method_nodes: HashMap<&'l str, u32>,
+    object_nodes: HashMap<&'l str, u32>,
+}
 
-    // Phase 2 (line 6): extract groups and rebuild definitions over them.
-    if cancel.is_cancelled() {
-        return None;
-    }
-    let group_locs = ds.groups();
-    let mut loc_to_group: HashMap<Loc, GroupId> = HashMap::new();
-    let mut groups: Vec<GroupData> = Vec::with_capacity(group_locs.len());
-    for (i, locs) in group_locs.into_iter().enumerate() {
-        let id = GroupId(i as u32);
-        let mut values = Vec::new();
-        let mut seen: HashSet<String> = HashSet::new();
-        for loc in &locs {
-            loc_to_group.insert(loc.clone(), id);
-            for v in bank.get(loc).map_or(&[][..], Vec::as_slice) {
-                if values.len() >= cfg.max_bank_values {
-                    break;
-                }
-                if seen.insert(v.to_json()) {
-                    values.push(v.clone());
-                }
+/// The interned locations, each with its disjoint-set node and value bank.
+#[derive(Debug)]
+struct LocTable {
+    /// Location → id; ids are dense, one per bank.
+    ids: HashMap<Loc, u32>,
+    banks: Vec<Bank>,
+    ds: PairDsu,
+}
+
+impl LocTable {
+    fn id(&mut self, loc: &Loc) -> u32 {
+        match self.ids.get(loc) {
+            Some(&id) => id,
+            None => {
+                let id = self.ds.add_loc();
+                self.ids.insert(loc.clone(), id);
+                self.banks.push(Bank::default());
+                id
             }
         }
-        let display = match cfg.granularity {
-            Granularity::Syntactic if locs.len() > 1 => syn_display(lib, &locs),
-            _ => pick_display(&locs),
+    }
+}
+
+/// Every interned location, indexed by id.
+fn locs_by_id(ids: &HashMap<Loc, u32>) -> Vec<&Loc> {
+    let mut by_id = vec![None; ids.len()];
+    for (loc, &id) in ids {
+        by_id[id as usize] = Some(loc);
+    }
+    by_id.into_iter().map(|loc| loc.expect("ids are dense")).collect()
+}
+
+/// A canonical location a witness walk has reached: a method root, an
+/// object root, or a path below one that crosses no named object.
+#[derive(Debug)]
+struct Node<'l> {
+    loc: Loc,
+    at: Cursor<'l>,
+    /// The location's id, interned when the first scalar lands here.
+    id: u32,
+    /// First of this node's child slots in [`Miner::kids`], one per label
+    /// the cursor steps by (`in`/`out`, a record's fields in order, or the
+    /// array element), each `NONE` until first stepped into. A label that
+    /// enters a named object leads to that object's root node.
+    kids: u32,
+    /// For an object's root: the object's name, and its value bank once an
+    /// object value arrived here.
+    object: Option<&'l str>,
+    bank: Option<Bank>,
+}
+
+/// One label of a witness walk's raw (unfolded) path.
+#[derive(Debug, Clone, Copy)]
+enum Raw<'v> {
+    In,
+    Out,
+    Elem,
+    Named(&'v str),
+}
+
+/// The raw location of the value a witness walk is at: needed only where
+/// the walk has left the library, whose locations are kept raw.
+#[derive(Debug)]
+struct Walk<'v> {
+    method: &'v str,
+    path: Vec<Raw<'v>>,
+}
+
+impl Walk<'_> {
+    fn loc(&self) -> Loc {
+        let label = |r: &Raw<'_>| match *r {
+            Raw::In => Label::In,
+            Raw::Out => Label::Out,
+            Raw::Elem => Label::Elem,
+            Raw::Named(name) => Label::Named(name.to_string()),
         };
-        groups.push(GroupData { locs, values, display });
+        Loc {
+            root: Root::Method(self.method.to_string()),
+            path: self.path.iter().map(label).collect(),
+        }
     }
-
-    let mut semlib = SemLib {
-        lib: lib.clone(),
-        objects: BTreeMap::new(),
-        methods: BTreeMap::new(),
-        groups,
-        loc_to_group,
-        object_bank,
-    };
-
-    // AddDefinitions(Λ, DS): transform every object and method definition.
-    let mut defs = DefBuilder {
-        loc_to_group: semlib.loc_to_group.clone(),
-        base: semlib.groups.len(),
-        extra: Vec::new(),
-    };
-    for (name, record) in &lib.objects {
-        let base = Loc::object(name.clone());
-        let sem = defs.sem_record(&base, record);
-        semlib.objects.insert(name.clone(), sem);
-    }
-    for (name, sig) in &lib.methods {
-        let in_base = Loc::method(name.clone()).child(Label::In);
-        let out_base = Loc::method(name.clone()).child(Label::Out);
-        let params = defs.sem_record(&in_base, &sig.params);
-        let response = defs.sem_of_ty(&out_base, &sig.response);
-        semlib.methods.insert(name.clone(), SemMethodSig { params, response });
-    }
-    // `extra` is only non-empty if a definition mentions a location the
-    // enumeration missed; keep the library total by appending them.
-    for (loc, data) in defs.extra {
-        let id = GroupId(semlib.groups.len() as u32);
-        semlib.loc_to_group.insert(loc, id);
-        semlib.groups.push(data);
-    }
-    Some(semlib)
 }
 
-/// Builds semantic definitions, allocating fresh singleton groups for any
-/// scalar location not already in the disjoint-set.
-struct DefBuilder {
-    loc_to_group: HashMap<Loc, GroupId>,
-    base: usize,
-    extra: Vec<(Loc, GroupData)>,
-}
-
-impl DefBuilder {
-    fn group_for(&mut self, loc: &Loc) -> GroupId {
-        if let Some(id) = self.loc_to_group.get(loc) {
-            return *id;
+impl<'l> Miner<'l> {
+    /// A miner with no witnesses yet. Every scalar location of the library
+    /// gets a node here, so unwitnessed locations still receive (singleton)
+    /// semantic types; for the syntactic ablation this is also where
+    /// whole-type merging happens.
+    pub(crate) fn new(lib: &'l Library, cfg: &MiningConfig) -> Miner<'l> {
+        let mut locs = LocTable { ids: HashMap::new(), banks: Vec::new(), ds: PairDsu::new() };
+        let mut def_ids = Vec::new();
+        for_each_scalar_loc(lib, &mut |loc, ty| {
+            let id = locs.id(loc);
+            def_ids.push(id);
+            if cfg.granularity == Granularity::Syntactic {
+                locs.ds.insert(id, ScalarKey::Type(ty));
+            }
+        });
+        Miner {
+            lib,
+            cfg: cfg.clone(),
+            locs,
+            def_ids,
+            sorted: Vec::new(),
+            nodes: Vec::new(),
+            kids: Vec::new(),
+            method_nodes: HashMap::new(),
+            object_nodes: HashMap::new(),
         }
-        if let Some(i) = self.extra.iter().position(|(l, _)| l == loc) {
-            return GroupId((self.base + i) as u32);
-        }
-        let id = GroupId((self.base + self.extra.len()) as u32);
-        self.extra.push((
-            loc.clone(),
-            GroupData { locs: vec![loc.clone()], values: Vec::new(), display: loc.to_string() },
-        ));
-        id
     }
 
-    fn sem_of_ty(&mut self, base: &Loc, ty: &SynTy) -> SemTy {
+    /// Registers witnesses (lines 2-5 of Fig. 8), polling `cancel` before
+    /// each one and once after the last. Returns `false` as soon as
+    /// cancellation is observed.
+    pub(crate) fn add_witnesses(&mut self, witnesses: &[Witness], cancel: &CancelToken) -> bool {
+        for w in witnesses {
+            if cancel.is_cancelled() {
+                return false;
+            }
+            self.add_witness(w);
+        }
+        !cancel.is_cancelled()
+    }
+
+    fn add_witness(&mut self, w: &Witness) {
+        let method = self.method_node(&w.method);
+        let mut walk = Walk { method: &w.method, path: vec![Raw::In] };
+        // v_in: the arguments form the parameter record, which never folds
+        // into a named object.
+        let params = method.map(|m| self.child(m, 0, || Label::In));
+        self.add_fields(params, &mut walk, &w.args);
+        walk.path[0] = Raw::Out;
+        let response = method.map(|m| self.child(m, 1, || Label::Out));
+        self.add_value(response, &mut walk, &w.output);
+    }
+
+    /// `AddWitness` (Fig. 8): drill down into a composite value, inserting
+    /// each scalar into the disjoint-set at its canonical location. `at` is
+    /// the node of that location, `None` once the walk has left the
+    /// library.
+    fn add_value<'v>(&mut self, at: Option<u32>, walk: &mut Walk<'v>, v: &'v Value) {
+        match v {
+            Value::Null => {}
+            Value::Array(items) => {
+                let elem = at.and_then(|n| self.step_elem(n));
+                walk.path.push(Raw::Elem);
+                for item in items {
+                    self.add_value(elem, walk, item);
+                }
+                walk.path.pop();
+            }
+            Value::Object(fields) => {
+                if let Some(node) = at.map(|n| &mut self.nodes[n as usize]) {
+                    if node.object.is_some() {
+                        node.bank
+                            .get_or_insert_with(Bank::default)
+                            .insert(v, self.cfg.max_bank_values);
+                    }
+                }
+                self.add_fields(at, walk, fields);
+            }
+            scalar => {
+                let id = match at {
+                    Some(n) => {
+                        let node = &mut self.nodes[n as usize];
+                        if node.id == NONE {
+                            node.id = self.locs.id(&node.loc);
+                        }
+                        node.id
+                    }
+                    None => self.locs.id(&walk.loc()),
+                };
+                self.add_scalar(id, scalar);
+            }
+        }
+    }
+
+    fn add_fields<'v>(
+        &mut self,
+        at: Option<u32>,
+        walk: &mut Walk<'v>,
+        fields: &'v [(String, Value)],
+    ) {
+        for (name, v) in fields {
+            let child = at.and_then(|n| self.step_field(n, name));
+            walk.path.push(Raw::Named(name));
+            self.add_value(child, walk, v);
+            walk.path.pop();
+        }
+    }
+
+    fn add_scalar(&mut self, id: u32, scalar: &Value) {
+        self.locs.banks[id as usize].insert(scalar, self.cfg.max_bank_values);
+        let key = match self.cfg.granularity {
+            Granularity::Mined => mergeable_key(&self.cfg, scalar),
+            Granularity::LocationOnly => None,
+            Granularity::Syntactic => Some(ScalarKey::Type(match scalar {
+                Value::Str(_) => &SynTy::Str,
+                Value::Int(_) => &SynTy::Int,
+                Value::Bool(_) => &SynTy::Bool,
+                _ => &SynTy::Float,
+            })),
+        };
+        if let Some(key) = key {
+            self.locs.ds.insert(id, key);
+        }
+    }
+
+    fn push_node(&mut self, loc: Loc, at: Cursor<'l>, object: Option<&'l str>) -> u32 {
+        let width = match at {
+            Cursor::Method(_) => 2,
+            Cursor::Record(record) => record.fields.len(),
+            Cursor::Array(_) => 1,
+            Cursor::Leaf => 0,
+        };
+        let kids = self.kids.len() as u32;
+        self.kids.resize(self.kids.len() + width, NONE);
+        self.nodes.push(Node { loc, at, id: NONE, kids, object, bank: None });
+        (self.nodes.len() - 1) as u32
+    }
+
+    fn method_node(&mut self, name: &str) -> Option<u32> {
+        if let Some(&n) = self.method_nodes.get(name) {
+            return Some(n);
+        }
+        let (name, sig) = self.lib.methods.get_key_value(name)?;
+        let n = self.push_node(Loc::method(name.clone()), Cursor::Method(sig), None);
+        self.method_nodes.insert(name, n);
+        Some(n)
+    }
+
+    fn object_node(&mut self, name: &'l str) -> u32 {
+        if let Some(&n) = self.object_nodes.get(name) {
+            return n;
+        }
+        let at = Cursor::object(self.lib, name);
+        let n = self.push_node(Loc::object(name), at, Some(name));
+        self.object_nodes.insert(name, n);
+        n
+    }
+
+    fn step_field(&mut self, n: u32, name: &str) -> Option<u32> {
+        let Cursor::Record(record) = self.nodes[n as usize].at else { return None };
+        let slot = record.fields.iter().position(|f| f.name == name)?;
+        Some(self.child(n, slot, || Label::Named(name.to_string())))
+    }
+
+    fn step_elem(&mut self, n: u32) -> Option<u32> {
+        matches!(self.nodes[n as usize].at, Cursor::Array(_))
+            .then(|| self.child(n, 0, || Label::Elem))
+    }
+
+    /// The node one label below `n`: child slot `slot`, created on first
+    /// use by the folding rule ([`lookup_step`]).
+    fn child(&mut self, n: u32, slot: usize, label: impl FnOnce() -> Label) -> u32 {
+        let Node { at, kids, .. } = self.nodes[n as usize];
+        let slot = kids as usize + slot;
+        if self.kids[slot] != NONE {
+            return self.kids[slot];
+        }
+        let label = label();
+        let child = match lookup_step(at, &label)
+            .expect("every child slot is a label the cursor steps by")
+        {
+            Step::Object(o) => self.object_node(o),
+            Step::Path(next) => {
+                let loc = self.nodes[n as usize].loc.child(label);
+                self.push_node(loc, next, None)
+            }
+        };
+        self.kids[slot] = child;
+        child
+    }
+
+    /// The semantic library of the witnesses added so far (line 6 of
+    /// Fig. 8): extract the groups, then rebuild every definition over
+    /// them.
+    pub(crate) fn snapshot(&mut self) -> SemLib {
+        let LocTable { ids, banks, ds } = &mut self.locs;
+        let locs = locs_by_id(ids);
+        if self.sorted.len() < locs.len() {
+            self.sorted.extend(self.sorted.len() as u32..locs.len() as u32);
+            // The already-sorted prefix is one run, so this is a merge.
+            self.sorted.sort_by(|&a, &b| locs[a as usize].cmp(locs[b as usize]));
+        }
+
+        // Walking the locations in order numbers each group at its
+        // smallest location, which is the order of the sorted loc-sets.
+        let mut group_of = vec![NONE; locs.len()];
+        let mut group_of_root = vec![NONE; locs.len()];
+        let mut members: Vec<Vec<u32>> = Vec::new();
+        for &id in &self.sorted {
+            let root = ds.find(id) as usize;
+            if group_of_root[root] == NONE {
+                group_of_root[root] = members.len() as u32;
+                members.push(Vec::new());
+            }
+            group_of[id as usize] = group_of_root[root];
+            members[group_of_root[root] as usize].push(id);
+        }
+
+        let cap = self.cfg.max_bank_values;
+        let groups: Vec<GroupData> = members
+            .iter()
+            .map(|ids| {
+                let group_locs: Vec<Loc> =
+                    ids.iter().map(|&id| locs[id as usize].clone()).collect();
+                let values = match ids[..] {
+                    [only] => banks[only as usize].values().to_vec(),
+                    _ => {
+                        let mut merged = Bank::default();
+                        for &id in ids {
+                            merged.extend(&banks[id as usize], cap);
+                        }
+                        merged.into_values()
+                    }
+                };
+                let display = match self.cfg.granularity {
+                    Granularity::Syntactic if group_locs.len() > 1 => {
+                        syn_display(self.lib, &group_locs)
+                    }
+                    _ => pick_display(&group_locs),
+                };
+                GroupData { locs: group_locs, values, display }
+            })
+            .collect();
+        let loc_to_group: HashMap<Loc, GroupId> =
+            locs.iter().zip(&group_of).map(|(&loc, &g)| (loc.clone(), GroupId(g))).collect();
+
+        // AddDefinitions(Λ, DS): transform every object and method definition.
+        let mut defs = DefBuilder { ids: self.def_ids.iter(), group_of: &group_of };
+        let objects = self
+            .lib
+            .objects
+            .iter()
+            .map(|(name, record)| (name.clone(), defs.sem_record(record)))
+            .collect();
+        let methods = self
+            .lib
+            .methods
+            .iter()
+            .map(|(name, sig)| {
+                let params = defs.sem_record(&sig.params);
+                let response = defs.sem_of_ty(&sig.response);
+                (name.clone(), SemMethodSig { params, response })
+            })
+            .collect();
+        debug_assert!(defs.ids.next().is_none(), "definitions and scalar locations disagree");
+
+        let object_bank = self
+            .nodes
+            .iter()
+            .filter_map(|node| {
+                Some((node.object?.to_string(), node.bank.as_ref()?.values().to_vec()))
+            })
+            .collect();
+        SemLib { lib: self.lib.clone(), objects, methods, groups, loc_to_group, object_bank }
+    }
+}
+
+/// Builds semantic definitions: the library's own types with every scalar
+/// replaced by its location's group. Scalars are met in
+/// [`for_each_scalar_loc`] order, so their location ids come off `ids`.
+struct DefBuilder<'a> {
+    ids: std::slice::Iter<'a, u32>,
+    group_of: &'a [u32],
+}
+
+impl DefBuilder<'_> {
+    fn sem_of_ty(&mut self, ty: &SynTy) -> SemTy {
         match ty {
             SynTy::Object(o) => SemTy::Object(o.clone()),
-            SynTy::Array(elem) => SemTy::array(self.sem_of_ty(&base.elem(), elem)),
-            SynTy::Record(record) => SemTy::Record(self.sem_record(base, record)),
-            _scalar => SemTy::Group(self.group_for(base)),
+            SynTy::Array(elem) => SemTy::array(self.sem_of_ty(elem)),
+            SynTy::Record(record) => SemTy::Record(self.sem_record(record)),
+            _scalar => {
+                let id = self.ids.next().expect("every scalar definition has a location id");
+                SemTy::Group(GroupId(self.group_of[*id as usize]))
+            }
         }
     }
 
-    fn sem_record(&mut self, base: &Loc, record: &apiphany_spec::RecordTy) -> SemRecordTy {
+    fn sem_record(&mut self, record: &RecordTy) -> SemRecordTy {
         SemRecordTy {
             fields: record
                 .fields
@@ -223,7 +513,7 @@ impl DefBuilder {
                 .map(|f| SemFieldTy {
                     name: f.name.clone(),
                     optional: f.optional,
-                    ty: self.sem_of_ty(&base.field(f.name.clone()), &f.ty),
+                    ty: self.sem_of_ty(&f.ty),
                 })
                 .collect(),
         }
@@ -237,100 +527,46 @@ fn syn_display(lib: &Library, locs: &[Loc]) -> String {
         .map_or_else(|| "String".to_string(), |t| t.to_string())
 }
 
-/// `AddWitness` (Fig. 8): drill down into a composite value, inserting each
-/// scalar into the disjoint-set at its (canonicalized) location.
-#[allow(clippy::too_many_arguments)]
-fn add_value(
-    lib: &Library,
-    cfg: &MiningConfig,
-    ds: &mut PairDsu,
-    bank: &mut HashMap<Loc, Vec<Value>>,
-    bank_seen: &mut HashMap<Loc, HashSet<String>>,
-    object_bank: &mut HashMap<String, Vec<Value>>,
-    object_seen: &mut HashMap<String, HashSet<String>>,
-    loc: &Loc,
-    v: &Value,
-) {
-    match v {
-        Value::Null => {}
-        Value::Array(items) => {
-            let elem = loc.elem();
-            for item in items {
-                add_value(lib, cfg, ds, bank, bank_seen, object_bank, object_seen, &elem, item);
-            }
-        }
-        Value::Object(fields) => {
-            if let Some(Folded::Object(o)) = fold(lib, loc) {
-                let seen = object_seen.entry(o.clone()).or_default();
-                let entry = object_bank.entry(o.clone()).or_default();
-                if entry.len() < cfg.max_bank_values && seen.insert(v.to_json()) {
-                    entry.push(v.clone());
-                }
-            }
-            for (k, fv) in fields {
-                let child = loc.field(k.clone());
-                add_value(lib, cfg, ds, bank, bank_seen, object_bank, object_seen, &child, fv);
-            }
-        }
-        scalar => {
-            let canon = canonical_scalar_loc(lib, loc);
-            let seen = bank_seen.entry(canon.clone()).or_default();
-            let entry = bank.entry(canon.clone()).or_default();
-            if entry.len() < cfg.max_bank_values && seen.insert(scalar.to_json()) {
-                entry.push(scalar.clone());
-            }
-            match cfg.granularity {
-                Granularity::Mined => match mergeable_key(cfg, scalar) {
-                    Some(key) => ds.insert(&canon, key),
-                    None => ds.touch_loc(&canon),
-                },
-                Granularity::LocationOnly => ds.touch_loc(&canon),
-                Granularity::Syntactic => {
-                    let ty = match scalar {
-                        Value::Str(_) => SynTy::Str,
-                        Value::Int(_) => SynTy::Int,
-                        Value::Bool(_) => SynTy::Bool,
-                        _ => SynTy::Float,
-                    };
-                    ds.insert(&canon, syn_type_key(&ty));
-                }
-            }
-        }
-    }
-}
-
 /// The §7.4 merging policy: strings always merge; integers only when large;
 /// booleans and floats never.
-fn mergeable_key(cfg: &MiningConfig, v: &Value) -> Option<ScalarKey> {
+fn mergeable_key<'v>(cfg: &MiningConfig, v: &'v Value) -> Option<ScalarKey<'v>> {
     match v {
-        Value::Str(s) => Some(ScalarKey::Str(s.clone())),
+        Value::Str(s) => Some(ScalarKey::Str(s)),
         Value::Int(i) if i.abs() > cfg.min_merge_int => Some(ScalarKey::Int(*i)),
         _ => None,
     }
 }
 
 /// Enumerates the canonical location and syntactic type of every scalar
-/// location reachable from the library's definitions.
-fn for_each_scalar_loc(lib: &Library, f: &mut impl FnMut(Loc, &SynTy)) {
-    fn rec(base: &Loc, ty: &SynTy, f: &mut impl FnMut(Loc, &SynTy)) {
+/// location reachable from the library's definitions: objects in name
+/// order, then each method's parameters and response.
+fn for_each_scalar_loc(lib: &Library, f: &mut impl FnMut(&Loc, &SynTy)) {
+    fn rec(loc: &mut Loc, ty: &SynTy, f: &mut impl FnMut(&Loc, &SynTy)) {
         match ty {
             SynTy::Object(_) => {} // handled at its own definition
-            SynTy::Array(elem) => rec(&base.elem(), elem, f),
-            SynTy::Record(record) => {
-                for field in &record.fields {
-                    rec(&base.field(field.name.clone()), &field.ty, f);
-                }
+            SynTy::Array(elem) => {
+                loc.path.push(Label::Elem);
+                rec(loc, elem, f);
+                loc.path.pop();
             }
-            scalar => f(base.clone(), scalar),
+            SynTy::Record(record) => rec_record(loc, record, f),
+            scalar => f(loc, scalar),
+        }
+    }
+    fn rec_record(loc: &mut Loc, record: &RecordTy, f: &mut impl FnMut(&Loc, &SynTy)) {
+        for field in &record.fields {
+            loc.path.push(Label::Named(field.name.clone()));
+            rec(loc, &field.ty, f);
+            loc.path.pop();
         }
     }
     for (name, record) in &lib.objects {
-        rec(&Loc::object(name.clone()), &SynTy::Record(record.clone()), f);
+        rec_record(&mut Loc::object(name.clone()), record, f);
     }
     for (name, sig) in &lib.methods {
         let m = Loc::method(name.clone());
-        rec(&m.child(Label::In), &SynTy::Record(sig.params.clone()), f);
-        rec(&m.child(Label::Out), &sig.response, f);
+        rec_record(&mut m.child(Label::In), &sig.params, f);
+        rec(&mut m.child(Label::Out), &sig.response, f);
     }
 }
 

@@ -145,19 +145,14 @@ impl SemLib {
 }
 
 /// Picks the display representative for a loc-set: object-rooted locations
-/// first, then shortest path, then lexicographic.
+/// first, then shortest path, then lexicographic. Only the locations that
+/// tie on the first two are rendered.
 pub(crate) fn pick_display(locs: &[Loc]) -> String {
+    let rank = |l: &Loc| (matches!(l.root, Root::Method(_)), l.path.len());
+    let Some(best) = locs.iter().map(rank).min() else { return "<empty>".to_string() };
     locs.iter()
-        .min_by_key(|l| {
-            (
-                match l.root {
-                    Root::Object(_) => 0u8,
-                    Root::Method(_) => 1u8,
-                },
-                l.path.len(),
-                l.to_string(),
-            )
-        })
+        .filter(|l| rank(l) == best)
         .map(ToString::to_string)
-        .unwrap_or_else(|| "<empty>".to_string())
+        .min()
+        .expect("the best rank is some location's")
 }
